@@ -688,7 +688,7 @@ int serve_async_main(bool csv, bool smoke, long threads, int repeat, const std::
   }
 
   // The patched-path tail must sit strictly below the recompute cliff: the
-  // patch replaces the O(m·k·n) replay with O(m·n + m·k + k·n) algebra, so a
+  // patch replaces the O(m·k·n) replay with O(m·n + m·k) algebra, so a
   // crossover means the correction path regressed. (Skipped under --smoke,
   // where per-request times are too small for a stable p99 comparison.)
   const bool p99_split_ok = smoke || fault_patched_p99 < fault_recompute_p99;

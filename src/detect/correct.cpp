@@ -1,10 +1,11 @@
 #include "detect/correct.h"
 
+#include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "tensor/checksum.h"
-#include "tensor/checksum_kernels.h"
 #include "util/bitmath.h"
 
 namespace realm::detect::correct {
@@ -35,77 +36,66 @@ bool solve_line(std::int64_t plain, std::int64_t weighted, std::size_t extent,
 }  // namespace
 
 PatchResult try_patch(const DetectionConfig& cfg,
-                      const std::vector<std::int64_t>& predicted_cols, const tensor::MatI8& a8,
-                      const tensor::MatI8& w8, const std::vector<std::int64_t>& w_row_basis,
-                      const std::vector<std::int64_t>& w_row_wbasis, tensor::MatI32& acc) {
+                      const std::vector<std::int64_t>& predicted_cols,
+                      const std::vector<std::int64_t>& predicted_wcols, const tensor::MatI8& a8,
+                      const std::vector<std::int64_t>& w_row_basis,
+                      const std::vector<std::int64_t>& w_row_wbasis, ScreenDeviations devs,
+                      tensor::MatI32& acc) {
   PatchResult res;
   const std::size_t m = acc.rows();
   const std::size_t n = acc.cols();
-
-  // Plain deviations on both sides — the same identities the screen used.
-  const std::vector<std::int64_t> obs_cols = tensor::col_sums(acc);
-  const std::vector<std::int64_t> obs_rows = tensor::row_sums(acc);
-  const std::vector<std::int64_t> pred_rows = tensor::predict_row_checksum(a8, w_row_basis);
-  std::vector<std::int64_t> dc(n);
-  std::vector<std::int64_t> dr(m);
-  bool any = false;
-  for (std::size_t j = 0; j < n; ++j) {
-    dc[j] = util::sat_sub_i64(obs_cols[j], predicted_cols[j]);
-    any = any || dc[j] != 0;
+  const std::vector<std::int64_t>& dc = devs.cols;
+  std::vector<std::int64_t>& dr = devs.rows;  // becomes the row residual
+  if (dc.size() != n || dr.size() != m || predicted_wcols.size() != n) {
+    throw std::invalid_argument("try_patch: deviation or checksum length mismatch");
   }
-  for (std::size_t i = 0; i < m; ++i) {
-    dr[i] = util::sat_sub_i64(obs_rows[i], pred_rows[i]);
-    any = any || dr[i] != 0;
-  }
-  if (!any) {
+  const auto nonzero = [](std::int64_t d) { return d != 0; };
+  if (std::none_of(dc.begin(), dc.end(), nonzero) &&
+      std::none_of(dr.begin(), dr.end(), nonzero)) {
     // A "detected" verdict with zero deviations on both sides has nothing to
     // solve against; refuse to touch the accumulator.
     res.outcome = PatchOutcome::kNoFault;
     return res;
   }
 
-  // Weighted deviations, computed lazily only on this (cold) correction
-  // path: predicted uᵀ(A·W) = (uᵀA)·W reuses the standard predict kernel on
-  // the weighted activation checksum, and (A·W)·v = A·(W·v) reuses the row
-  // predict kernel on the resident weighted weight basis.
-  const std::vector<std::int64_t> ua = tensor::weighted_col_sums(a8);
-  std::vector<std::int64_t> pred_wcols(n);
-  tensor::kernels::predict_col_checksum(ua.data(), w8.data(), w8.rows(), w8.cols(),
-                                        pred_wcols.data());
-  const std::vector<std::int64_t> obs_wcols = tensor::weighted_col_sums(acc);
-  const std::vector<std::int64_t> pred_wrows = tensor::predict_row_checksum(a8, w_row_wbasis);
-  const std::vector<std::int64_t> obs_wrows = tensor::weighted_row_sums(acc);
-
-  std::vector<std::int64_t> wdr(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    wdr[i] = util::sat_sub_i64(obs_wrows[i], pred_wrows[i]);
-  }
-
   // Plan A — column solve: every column with a nonzero deviation is solved
   // independently, so simultaneous faults in distinct columns (including
   // several sharing one row) all patch in one pass. Each accepted patch is
-  // subtracted from the row-side residuals so Plan B only chases what the
-  // column solve could not see.
+  // subtracted from the row residuals so Plan B only chases what the column
+  // solve could not see.
+  const std::vector<std::int64_t> obs_wcols = tensor::weighted_col_sums(acc);
   std::vector<Patch> patches;
   for (std::size_t j = 0; j < n; ++j) {
     if (dc[j] == 0) continue;
-    const std::int64_t wdc = util::sat_sub_i64(obs_wcols[j], pred_wcols[j]);
+    const std::int64_t wdc = util::sat_sub_i64(obs_wcols[j], predicted_wcols[j]);
     std::size_t r = 0;
     if (!solve_line(dc[j], wdc, m, r)) continue;
     patches.push_back({r, j, dc[j]});
     dr[r] = util::sat_sub_i64(dr[r], dc[j]);
-    wdr[r] = util::sat_sub_i64(wdr[r], static_cast<std::int64_t>(j + 1) * dc[j]);
   }
 
   // Plan B — row solve over the residuals: catches the fault classes whose
   // column statistics alias (two faults sharing a column, opposite-sign
   // pairs that cancel in every column sum) but whose row deviations do not.
-  for (std::size_t i = 0; i < m; ++i) {
-    if (dr[i] == 0) continue;
-    std::size_t c = 0;
-    if (!solve_line(dr[i], wdr[i], n, c)) continue;
-    patches.push_back({i, c, dr[i]});
-    res.used_row_solve = true;
+  // Its weighted row terms, (A·W)·v = A·(W·v) against the observed C·v less
+  // the Plan A patches, are formed only when a residual is left to solve.
+  if (std::any_of(dr.begin(), dr.end(), nonzero)) {
+    const std::vector<std::int64_t> pred_wrows = tensor::predict_row_checksum(a8, w_row_wbasis);
+    const std::vector<std::int64_t> obs_wrows = tensor::weighted_row_sums(acc);
+    std::vector<std::int64_t> wdr(m);
+    for (std::size_t i = 0; i < m; ++i) {
+      wdr[i] = util::sat_sub_i64(obs_wrows[i], pred_wrows[i]);
+    }
+    for (const Patch& p : patches) {
+      wdr[p.row] = util::sat_sub_i64(wdr[p.row], static_cast<std::int64_t>(p.col + 1) * p.delta);
+    }
+    for (std::size_t i = 0; i < m; ++i) {
+      if (dr[i] == 0) continue;
+      std::size_t c = 0;
+      if (!solve_line(dr[i], wdr[i], n, c)) continue;
+      patches.push_back({i, c, dr[i]});
+      res.used_row_solve = true;
+    }
   }
 
   // Apply. The patched value is the algebraically reconstructed true

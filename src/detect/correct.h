@@ -19,11 +19,14 @@
 // solve cannot see: faults sharing a column, including pairs whose column
 // deviations cancel.
 //
-// The predicted weighted sums reuse the existing fault-free prediction
-// identities: uᵀ(A·W) = (uᵀA)·W (one weighted col-sum over int8 A plus the
-// standard predict kernel) and (A·W)·v = A·(W·v) (the resident weighted
-// weight basis ProtectedGemm::set_weights precomputes). Total patch cost is
-// O(m·n + m·k + k·n) — orders of magnitude below the recompute replay.
+// Every input is already paid for: the plain deviations are the screen's
+// own (ScreenDeviations), the predicted uᵀ(A·W) is the GEMM's fused
+// store-phase sum, and (A·W)·v = A·(W·v) uses the resident weighted weight
+// basis ProtectedGemm::set_weights precomputes — formed only when the column
+// solve leaves a row residual for the row solve. Total patch cost is
+// O(m·n + m·k), the m·k term being the row predictions of the row solve and
+// the re-screen — orders of magnitude below the O(m·k·n) recompute replay,
+// with no O(k·n) term.
 //
 // State machine: detect → try_patch → full re-screen → serve (kPatched), or
 // on any inconsistency (inexact division, out-of-range index, dirty recheck)
@@ -31,6 +34,15 @@
 // accidentally-divisible wrong solve safe: a mispatch perturbs checksums the
 // patch did not balance, the recheck stays dirty, and the recompute replay
 // overwrites the accumulator wholesale (no undo needed).
+//
+// Known hole, found and not fixed: a mispatch can leave a residual error the
+// re-screen cannot see. With MagFreqInjector(2^20, 24) on m=8, k=4096,
+// n=256 tiles, 4 to 5 of 4000 came back kPatched but wrong, depending on the
+// seed (0 to 2 of 4000 at m=16). Every such residual was
+// 2^20·[1,−2,1]ᵀ⊗[1,−2,1] on evenly spaced rows and columns. That pattern
+// zeroes the plain AND the linear-weighted checksums on both sides, so
+// neither this re-screen nor a weighted one catches it; closing the hole
+// needs a check outside those four sums.
 #pragma once
 
 #include <cstddef>
@@ -58,16 +70,18 @@ struct PatchResult {
 };
 
 /// Attempt the algebraic in-place correction of `acc` against the predicted
-/// column checksum. Reads the same inputs as screen_accumulator plus the
-/// weight operand (for the weighted column prediction (uᵀA)·W) and the
-/// resident weighted basis W·v. Mutates `acc` only through solved patches;
-/// on kFailed the caller must recompute (which overwrites `acc` entirely).
-/// Never claims kPatched without a clean full re-screen.
+/// column checksums (eᵀA)·W and (uᵀA)·W. `devs` are the plain deviations of
+/// `acc` against those predictions and against A·(W·e) for this `a8`, as
+/// screen_accumulator hands them back. Also reads the resident weighted basis
+/// W·v. Mutates `acc` only through solved patches; on kFailed the caller must
+/// recompute (which overwrites `acc` entirely). Never claims kPatched without
+/// a clean full re-screen.
 [[nodiscard]] PatchResult try_patch(const DetectionConfig& cfg,
                                     const std::vector<std::int64_t>& predicted_cols,
-                                    const tensor::MatI8& a8, const tensor::MatI8& w8,
+                                    const std::vector<std::int64_t>& predicted_wcols,
+                                    const tensor::MatI8& a8,
                                     const std::vector<std::int64_t>& w_row_basis,
                                     const std::vector<std::int64_t>& w_row_wbasis,
-                                    tensor::MatI32& acc);
+                                    ScreenDeviations devs, tensor::MatI32& acc);
 
 }  // namespace realm::detect::correct

@@ -7,6 +7,7 @@
 #include "detect/correct.h"
 #include "fault/memory.h"
 #include "obs/trace.h"
+#include "tensor/checksum_kernels.h"
 #include "tensor/gemm.h"
 #include "util/bitmath.h"
 
@@ -27,36 +28,60 @@ void load_column_stats(DetectionVerdict& v, const tensor::ColumnDeviation& dev,
   }
 }
 
+/// ΔA(i,:)·(W·e) with ΔA = clean − work: how far row i's predicted row sum
+/// moves between the two activation copies.
+std::int64_t row_delta(const tensor::MatI8& clean, const tensor::MatI8& work, std::size_t i,
+                       const std::vector<std::int64_t>& w_row_basis) {
+  const std::size_t k = clean.cols();
+  std::int64_t from_clean = 0;
+  std::int64_t from_work = 0;
+  tensor::kernels::predict_row_checksum(clean.data() + i * k, 1, k, w_row_basis.data(),
+                                        &from_clean);
+  tensor::kernels::predict_row_checksum(work.data() + i * k, 1, k, w_row_basis.data(),
+                                        &from_work);
+  return util::sat_sub_i64(from_clean, from_work);
+}
+
 }  // namespace
 
 DetectionVerdict screen_accumulator(const DetectionConfig& cfg,
                                     const std::vector<std::int64_t>& predicted_cols,
                                     const tensor::MatI8& a8,
                                     const std::vector<std::int64_t>& w_row_basis,
-                                    const tensor::MatI32& acc) {
+                                    const tensor::MatI32& acc, ScreenDeviations* devs) {
   DetectionVerdict report;
   // Column side: predicted (eᵀA)·W vs observed eᵀC, MSD thresholding.
-  const tensor::ColumnDeviation dev = tensor::column_deviation_from_predicted(predicted_cols, acc);
+  tensor::ColumnDeviation dev = tensor::column_deviation_from_predicted(predicted_cols, acc);
   load_column_stats(report, dev, cfg.msd_datapath_bits);
 
   bool flagged = report.msd_abs > cfg.msd_threshold;
-  if (cfg.mode == CheckMode::kTwoSided) {
-    for (std::size_t j = 0; j < dev.diff.size(); ++j) {
-      if (dev.diff[j] != 0) report.fault_cols.push_back(j);
-    }
+  const bool two_sided = cfg.mode == CheckMode::kTwoSided;
+  std::vector<std::int64_t> row_dev;
+  if (two_sided || devs != nullptr) {
     const std::vector<std::int64_t> predicted_rows =
         tensor::predict_row_checksum(a8, w_row_basis);
     const std::vector<std::int64_t> observed_rows = tensor::row_sums(acc);
+    row_dev.resize(predicted_rows.size());
     for (std::size_t i = 0; i < predicted_rows.size(); ++i) {
-      if (util::sat_sub_i64(observed_rows[i], predicted_rows[i]) != 0) {
-        report.fault_rows.push_back(i);
-      }
+      row_dev[i] = util::sat_sub_i64(observed_rows[i], predicted_rows[i]);
+    }
+  }
+  if (two_sided) {
+    for (std::size_t j = 0; j < dev.diff.size(); ++j) {
+      if (dev.diff[j] != 0) report.fault_cols.push_back(j);
+    }
+    for (std::size_t i = 0; i < row_dev.size(); ++i) {
+      if (row_dev[i] != 0) report.fault_rows.push_back(i);
     }
     // The row side must participate in the verdict, not just localization:
     // opposite-sign errors in one column cancel in every column statistic
     // (zero diff, zero MSD) but still perturb two row sums — the case
     // classical two-sided ABFT exists to catch.
     flagged = flagged || !report.fault_cols.empty() || !report.fault_rows.empty();
+  }
+  if (devs != nullptr) {
+    devs->cols = std::move(dev.diff);
+    devs->rows = std::move(row_dev);
   }
   report.verdict = flagged ? Verdict::kDetected : Verdict::kClean;
   return report;
@@ -185,37 +210,45 @@ void ProtectedGemm::run_quantized_into(const tensor::MatI8& a8, tensor::QuantPar
   const bool strike_acts =
       memory != nullptr && memory->enabled(fault::Component::kActivations);
   std::uint64_t activation_flips = 0;
-  std::vector<std::int64_t> predicted_cols;
   const tensor::MatI8* gemm_a = &a8;
   if (strike_acts) {
     // Per-request activation strike: the array consumes a working copy hit
     // by the kActivations stream; the caller's a8 stands in for the golden
-    // producer copy. The predicted column checksum comes from that CLEAN
-    // copy — the checksum row travels with A from its fault-free producer —
-    // so the column screen sees the corruption; the row side (predicted
-    // below from the consumed image) is blind to it by construction.
+    // producer copy.
     result.a8_work = a8;
     activation_flips =
         memory->corrupt(fault::Component::kActivations, op, result.a8_work.flat());
     gemm_a = &result.a8_work;
-    predicted_cols = tensor::predict_col_checksum(a8, w8_);
+  }
+  // The fused store-phase reductions of the multiply ARE the predicted
+  // column checksums: injection perturbs the accumulator only after this
+  // line, so the fused sums are eᵀ(A·W) and uᵀ(A·W) of the true product,
+  // which equal (eᵀA)·W and (uᵀA)·W exactly (integer checksum identity —
+  // cross-checked in the test suite). This models the dedicated fault-free
+  // checksum datapath of Fig. 7; no O(k·n) prediction pass runs.
+  std::vector<std::int64_t> predicted_cols;
+  std::vector<std::int64_t> predicted_wcols;
+  {
     const obs::ScopedSpan gemm_span(obs::SpanKind::kGemm);
-    tensor::gemm_i8_prepacked(*gemm_a, w8_, w_packed_, result.acc);
-  } else {
-    // The fused store-phase reduction of the multiply IS the predicted column
-    // checksum: injection perturbs the accumulator only after this line, so
-    // the fused sums are eᵀ(A·W) of the true product, which equals (eᵀA)·W
-    // exactly (integer checksum identity — cross-checked in the test suite).
-    // This models the dedicated fault-free checksum datapath of Fig. 7 and
-    // replaces the scalar O(k·n) predict_col_checksum pass.
-    const obs::ScopedSpan gemm_span(obs::SpanKind::kGemm);
-    tensor::gemm_i8_prepacked(a8, w8_, w_packed_, result.acc, &predicted_cols);
+    tensor::gemm_i8_prepacked(*gemm_a, w8_, w_packed_, result.acc, &predicted_cols,
+                              &predicted_wcols);
+  }
+  std::vector<std::size_t> struck_rows;
+  if (strike_acts) {
+    // The checksum row travels with A from its fault-free producer, so the
+    // predictions must be those of the CLEAN copy: add the sparse ΔA terms.
+    // The column screen then sees the corruption; the row side (predicted
+    // below from the consumed image) is blind to it by construction.
+    struck_rows =
+        tensor::fold_operand_delta(a8, result.a8_work, w8_, predicted_cols, predicted_wcols);
   }
   const fault::InjectionReport injection = injector.inject(result.acc.flat(), rng);
 
+  ScreenDeviations devs;
   {
     const obs::ScopedSpan screen_span(obs::SpanKind::kScreen);
-    result.report = screen_accumulator(cfg_, predicted_cols, *gemm_a, w_row_basis_, result.acc);
+    result.report = screen_accumulator(cfg_, predicted_cols, *gemm_a, w_row_basis_, result.acc,
+                                       cfg_.patch_on_detect ? &devs : nullptr);
   }
   result.report.injection = injection;
   result.report.component_flips[static_cast<std::size_t>(fault::Component::kAccumulator)] =
@@ -226,11 +259,18 @@ void ProtectedGemm::run_quantized_into(const tensor::MatI8& a8, tensor::QuantPar
   if (result.report.verdict == Verdict::kDetected && cfg_.patch_on_detect) {
     // Algebraic in-place correction: solve fault positions and magnitudes
     // from the plain + weighted deviations and patch the accumulator, at
-    // O(m·n + m·k + k·n) instead of the O(m·k·n) replay. try_patch re-screens
+    // O(m·n + m·k) instead of the O(m·k·n) replay. try_patch re-screens
     // with the full criteria internally; only a clean recheck claims success.
     const obs::ScopedSpan patch_span(obs::SpanKind::kPatch);
-    const correct::PatchResult patched = correct::try_patch(
-        cfg_, predicted_cols, a8, w8_, w_row_basis_, w_row_wbasis_, result.acc);
+    // The patch rebuilds the product of the clean a8, but the screen's row
+    // side predicted from the consumed copy: re-aim the struck rows.
+    for (const std::size_t i : struck_rows) {
+      const std::int64_t shift = row_delta(a8, result.a8_work, i, w_row_basis_);
+      devs.rows[i] = util::sat_sub_i64(devs.rows[i], shift);
+    }
+    const correct::PatchResult patched =
+        correct::try_patch(cfg_, predicted_cols, predicted_wcols, a8, w_row_basis_,
+                           w_row_wbasis_, std::move(devs), result.acc);
     if (patched.outcome == correct::PatchOutcome::kPatched) {
       result.report.verdict = Verdict::kPatched;
     }

@@ -18,15 +18,18 @@
 // checksum row (consumed by weight-integrity scrubbing and the reduced-width
 // realm::sa datapath work).
 //
-// The column side's predicted checksum (eᵀA)·W is NOT computed as a separate
-// O(k·n) pass: the GEMM kernels fuse the eᵀC reduction into their store
-// phase, and because fault injection in this model perturbs the accumulator
-// AFTER the multiply, the fused sums are the column checksum of the true
-// product — exactly (eᵀA)·W by the checksum identity. This models Fig. 7's
-// dedicated (fault-free) checksum datapath running alongside the array; the
-// observed side is then re-read from the possibly-faulted accumulator by the
-// SIMD column-sum screen. Total per-run checking cost is O(m·k + m·n), all
-// vectorized — the old scalar O(k·n) prediction term is gone entirely.
+// The column side's predicted checksums (eᵀA)·W and (uᵀA)·W are NOT computed
+// as separate O(k·n) passes: the GEMM kernels fuse the eᵀC and uᵀC
+// reductions into their store phase, and because fault injection in this
+// model perturbs the accumulator AFTER the multiply, the fused sums are the
+// column checksums of the true product — exactly (eᵀA)·W and (uᵀA)·W by the
+// checksum identity. This models Fig. 7's dedicated (fault-free) checksum
+// datapath running alongside the array; the observed side is then re-read
+// from the possibly-faulted accumulator by the SIMD column-sum screen. When
+// the array consumed a struck activation copy, the sparse difference to the
+// clean copy re-aims the fused sums (tensor::fold_operand_delta). Total
+// per-run checking cost is O(m·k + m·n) — no O(k·n) term on any path but
+// the recompute replay.
 #pragma once
 
 #include <cstdint>
@@ -77,7 +80,7 @@ struct DetectionConfig {
   /// Try the algebraic in-place patch first when a fault is flagged: solve
   /// position and magnitude from the plain + weighted deviations, patch the
   /// accumulator, and re-screen. Orders of magnitude cheaper than replaying
-  /// the tile (O(m·n + m·k + k·n) vs O(m·k·n)).
+  /// the tile (O(m·n + m·k) vs O(m·k·n)).
   bool patch_on_detect = true;
   /// Recompute the GEMM (fault-free replay) when a fault is flagged and the
   /// patch was disabled or its recheck came back dirty.
@@ -121,6 +124,14 @@ struct ProtectedGemmResult {
   tensor::MatI8 a8_work;
 };
 
+/// The plain deviations of an accumulator against its predicted checksums:
+/// cols[j] = (eᵀC)_j − predicted_cols[j] and rows[i] = (C·e)_i − (A·(W·e))_i,
+/// both saturating.
+struct ScreenDeviations {
+  std::vector<std::int64_t> cols;
+  std::vector<std::int64_t> rows;
+};
+
 /// The full-width (int64) checksum screen, exposed as a standalone step:
 /// exactly what run_quantized* applies internally — MSD thresholding of the
 /// clamped column statistic and, in two-sided mode, per-column deviations
@@ -132,11 +143,16 @@ struct ProtectedGemmResult {
 /// the pipeline saw: realm::sa screens one faulted accumulator through
 /// several reduced-width register models and uses this as the int64
 /// reference verdict in its coverage comparison.
+///
+/// When `devs` is non-null it receives the plain deviations behind the
+/// verdict, so the corrector starts from the screen's arithmetic instead of
+/// redoing it (the row side is computed for it in kMsdOnly mode too).
 [[nodiscard]] DetectionVerdict screen_accumulator(const DetectionConfig& cfg,
                                                   const std::vector<std::int64_t>& predicted_cols,
                                                   const tensor::MatI8& a8,
                                                   const std::vector<std::int64_t>& w_row_basis,
-                                                  const tensor::MatI32& acc);
+                                                  const tensor::MatI32& acc,
+                                                  ScreenDeviations* devs = nullptr);
 
 // Thread-safety contract (load-bearing for realm::serve): after set_weights*
 // returns, a ProtectedGemm is immutable — every run* overload and
@@ -179,10 +195,12 @@ class ProtectedGemm {
   /// models a per-request activation strike: a8 is copied into the result's
   /// working buffer, corrupted from the counter-based stream
   /// component_stream(seed, kActivations, op), and the GEMM consumes the
-  /// corrupted image. The predicted column checksum is then computed from the
+  /// corrupted image. The predicted column checksums are then those of the
   /// CLEAN a8 (the checksum row travels with A from its fault-free producer,
-  /// exactly like the resident eᵀW row travels with W), so the column screen
-  /// is what catches activation corruption; the row side predicts from the
+  /// exactly like the resident eᵀW row travels with W): the GEMM's fused sums
+  /// plus (eᵀΔA)·W and (uᵀΔA)·W over the k-rows where ΔA = a8 − work is
+  /// nonzero, found by comparing the two copies. So the column screen is
+  /// what catches activation corruption; the row side predicts from the
   /// same corrupted image the array consumed and stays blind to it. Patch and
   /// recompute both rehabilitate from the clean a8 (a recompute re-fetches
   /// the golden DRAM copy), so corrected outputs are bit-equal to the

@@ -35,8 +35,8 @@ namespace realm::tensor {
 /// Weighted checksum bases for the multi-fault ABFT solve (see
 /// src/detect/correct.h): uᵀM with u = [1,2,3,…] and M·v with v = [1,2,3,…].
 /// The ratio of weighted to plain deviation recovers the faulty row (column
-/// solve) or column (row solve) index plus one.
-[[nodiscard]] std::vector<std::int64_t> weighted_col_sums(const MatI8& m);
+/// solve) or column (row solve) index plus one. The weighted prediction
+/// uᵀ(A·B) is never formed from A: the GEMM folds it in its store phase.
 [[nodiscard]] std::vector<std::int64_t> weighted_col_sums(const MatI32& m);
 [[nodiscard]] std::vector<std::int64_t> weighted_row_sums(const MatI8& m);
 [[nodiscard]] std::vector<std::int64_t> weighted_row_sums(const MatI32& m);
@@ -46,6 +46,20 @@ namespace realm::tensor {
 
 /// Predicted row checksum of A·B, i.e. A·(B·e).
 [[nodiscard]] std::vector<std::int64_t> predict_row_checksum(const MatI8& a, const MatI8& b);
+
+/// Re-aim the column checksums of a product computed from a corrupted copy
+/// of its left operand at the product of the clean copy. `cols` and `wcols`
+/// hold eᵀ(A_work·B) and uᵀ(A_work·B) (the GEMM's fused sums); with
+/// ΔA = a_clean − a_work, found by comparing the two copies row by row, this
+/// adds (eᵀΔA)·B and (uᵀΔA)·B, visiting only the rows of B where a column of
+/// ΔA is nonzero: O(m·k) compare plus O(|struck k|·n), not O(k·n). Exact
+/// integer arithmetic, so the results equal predict_col_checksum(a_clean, b)
+/// and (uᵀa_clean)·b bit for bit. Returns the rows where the copies differ,
+/// ascending.
+[[nodiscard]] std::vector<std::size_t> fold_operand_delta(const MatI8& a_clean,
+                                                          const MatI8& a_work, const MatI8& b,
+                                                          std::vector<std::int64_t>& cols,
+                                                          std::vector<std::int64_t>& wcols);
 
 /// Same, from a precomputed weight basis B·e (= row_sums(b)); the hardware
 /// keeps this resident with the stationary weights so the per-GEMM row-side

@@ -537,14 +537,6 @@ void row_sums_i32(const std::int32_t* m, std::size_t rows, std::size_t cols,
   });
 }
 
-void weighted_col_sums_i8(const std::int8_t* m, std::size_t rows, std::size_t cols,
-                          std::int64_t* out) {
-  if (cols == 0) return;
-  util::global_pool().parallel_for(cols, kColGrain, [&](std::size_t j0, std::size_t j1) {
-    weighted_col_sums_portable(m, rows, cols, j0, j1, out);
-  });
-}
-
 void weighted_col_sums_i32(const std::int32_t* m, std::size_t rows, std::size_t cols,
                            std::int64_t* out) {
   if (cols == 0) return;

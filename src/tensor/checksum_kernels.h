@@ -45,8 +45,6 @@ void row_sums_i32(const std::int32_t* m, std::size_t rows, std::size_t cols, std
 /// kernels, so they stay bit-identical at every tier and thread count).
 ///
 /// uᵀM with u = [1,2,3,…]: out[j] = Σ_r (r+1)·m[r][j]  (length cols).
-void weighted_col_sums_i8(const std::int8_t* m, std::size_t rows, std::size_t cols,
-                          std::int64_t* out);
 void weighted_col_sums_i32(const std::int32_t* m, std::size_t rows, std::size_t cols,
                            std::int64_t* out);
 

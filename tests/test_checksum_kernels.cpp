@@ -1,6 +1,7 @@
 #include "tensor/checksum_kernels.h"
 
 #include <cstdint>
+#include <cstdio>
 #include <stdexcept>
 #include <vector>
 
@@ -69,6 +70,17 @@ std::vector<std::int64_t> ref_row_sums(const Mat<T>& m) {
   std::vector<std::int64_t> out(m.rows(), 0);
   for (std::size_t r = 0; r < m.rows(); ++r) {
     for (std::size_t j = 0; j < m.cols(); ++j) out[r] += static_cast<std::int64_t>(m(r, j));
+  }
+  return out;
+}
+
+template <typename T>
+std::vector<std::int64_t> ref_weighted_col_sums(const Mat<T>& m) {
+  std::vector<std::int64_t> out(m.cols(), 0);
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    for (std::size_t j = 0; j < m.cols(); ++j) {
+      out[j] += static_cast<std::int64_t>(r + 1) * static_cast<std::int64_t>(m(r, j));
+    }
   }
   return out;
 }
@@ -231,6 +243,113 @@ REALM_TEST(fused_gemm_colsums_equal_identity_on_all_tiers) {
     REALM_CHECK(c == MatI32(4, 6, 0));
     REALM_CHECK(fused == std::vector<std::int64_t>(6, 0));
   }
+}
+
+REALM_TEST(fused_weighted_colsums_equal_readback_on_all_tiers_and_threads) {
+  // The store-phase uᵀC fold feeds the corrector its weighted prediction, so
+  // it must equal uᵀC read back from the output at every tier, storage order,
+  // and pool size — including row tails past the microkernel's row block
+  // (m = 1, 33, 70) and widths that leave a partial panel (n % 16, n % 32).
+  realm::util::Rng rng(207);
+  TierGuard tier_guard;
+  ThreadGuard thread_guard;
+  const std::size_t shapes[][3] = {{1, 64, 37}, {33, 129, 100}, {70, 65, 257}, {33, 2, 1}};
+  for (const auto& s : shapes) {
+    const MatI8 a = random_i8_full_range(s[0], s[1], rng);
+    const MatI8 b = random_i8_full_range(s[1], s[2], rng);
+    const std::vector<std::int64_t> want = ref_weighted_col_sums(gemm_i8(a, b));
+    for (const Tier t : supported_tiers()) {
+      kernels::set_active_tier(t);
+      const kernels::PackedB pb = kernels::pack_b(b.data(), b.rows(), b.cols());
+      for (const std::size_t threads : {1, 2, 8}) {
+        realm::util::set_global_threads(threads);
+        MatI32 c;
+        std::vector<std::int64_t> wfused(3, 0x7ead);  // wrong size and poisoned
+        gemm_i8(a, b, c, nullptr, &wfused);
+        REALM_CHECK(wfused == weighted_col_sums(c));
+        REALM_CHECK(wfused == want);
+        MatI32 c2;
+        std::vector<std::int64_t> fused2;
+        std::vector<std::int64_t> wfused2;
+        gemm_i8_prepacked(a, b, pb, c2, &fused2, &wfused2);
+        REALM_CHECK(c2 == c);
+        REALM_CHECK(fused2 == col_sums(c));
+        REALM_CHECK(wfused2 == want);
+        MatI32 c3;
+        std::vector<std::int64_t> wfused3;
+        gemm_i8_bt(a, transpose(b), c3, nullptr, &wfused3);
+        REALM_CHECK(c3 == c);
+        REALM_CHECK(wfused3 == want);
+      }
+      realm::util::set_global_threads(1);
+    }
+  }
+}
+
+REALM_TEST(operand_delta_fold_restores_clean_predictions) {
+  // The activation-strike identity: the fused sums of the product of a
+  // corrupted copy, plus (eᵀΔA)·W and (uᵀΔA)·W for ΔA = clean − work, equal
+  // the predictions of the clean copy exactly, (eᵀA)·W and (uᵀA)·W.
+  realm::util::Rng rng(208);
+  TierGuard guard;
+  struct Strike {
+    std::size_t row, col;
+    std::uint8_t mask;
+  };
+  struct Case {
+    const char* name;
+    std::size_t m;
+    std::vector<Strike> strikes;  // XOR masks, applied in order
+    std::vector<std::size_t> struck_rows;
+  };
+  const std::size_t k = 67, n = 45;
+  const std::vector<Case> cases = {
+      // The same byte struck twice cancels: no delta, nothing to fold.
+      {"double strike cancels", 9, {{4, 10, 0x20}, {4, 10, 0x20}}, {}},
+      // ...and next to a live strike only the live one counts.
+      {"cancel beside a live strike", 9, {{4, 10, 0x20}, {4, 10, 0x20}, {5, 3, 0x01}}, {5}},
+      // One k-column struck on two rows with equal and opposite deltas:
+      // eᵀΔA is zero there but uᵀΔA is not, so the fold must still visit it.
+      {"two rows in one k-column", 9, {{1, 20, 0x40}, {6, 20, 0x40}}, {1, 6}},
+      {"first and last row", 9, {{0, 0, 0x80}, {8, k - 1, 0x01}, {8, 30, 0x0f}}, {0, 8}},
+      {"single row", 1, {{0, 5, 0x02}, {0, 66, 0xff}}, {0}},
+  };
+  for (const Case& c : cases) {
+    MatI8 clean = random_i8_full_range(c.m, k, rng);
+    // Pin the bytes the two-rows case strikes to opposite-sign values, so
+    // flipping bit 6 moves them by +64 and −64.
+    if (c.m > 6) {
+      clean(1, 20) = 0;
+      clean(6, 20) = 64;
+    }
+    const MatI8 b = random_i8_full_range(k, n, rng);
+    MatI8 work = clean;
+    for (const Strike& st : c.strikes) {
+      work(st.row, st.col) = static_cast<std::int8_t>(work(st.row, st.col) ^ st.mask);
+    }
+    const std::vector<std::int64_t> want_cols = ref_predict_col(ref_col_sums(clean), b);
+    const std::vector<std::int64_t> want_wcols =
+        ref_predict_col(ref_weighted_col_sums(clean), b);
+    for (const Tier t : supported_tiers()) {
+      kernels::set_active_tier(t);
+      MatI32 acc;
+      std::vector<std::int64_t> cols;
+      std::vector<std::int64_t> wcols;
+      gemm_i8(work, b, acc, &cols, &wcols);
+      const std::vector<std::size_t> struck = fold_operand_delta(clean, work, b, cols, wcols);
+      if (struck != c.struck_rows || cols != want_cols || wcols != want_wcols) {
+        std::fprintf(stderr, "fold mismatch: case '%s' tier %s\n", c.name, kernels::to_string(t));
+        REALM_CHECK(false);
+      }
+      REALM_CHECK(cols == predict_col_checksum(clean, b));
+    }
+  }
+  std::vector<std::int64_t> short_cols(n - 1);
+  std::vector<std::int64_t> wcols(n);
+  const MatI8 a = random_i8_full_range(2, k, rng);
+  REALM_CHECK_THROWS(
+      (void)fold_operand_delta(a, a, random_i8_full_range(k, n, rng), short_cols, wcols),
+      std::invalid_argument);
 }
 
 REALM_TEST(sharded_screen_deterministic_across_thread_counts) {

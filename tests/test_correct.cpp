@@ -1,6 +1,7 @@
 #include "detect/correct.h"
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "detect/detect.h"
@@ -28,12 +29,14 @@ MatI8 random_i8(std::size_t rows, std::size_t cols, Rng& rng) {
 
 /// Everything try_patch reads, derived once from a (A, W) pair the same way
 /// the pipeline derives it: the ProtectedGemm owns the resident bases, the
-/// predicted checksum comes from the fused-identity kernel, and `truth` is
-/// the fault-free accumulator the patch must reconstruct bit for bit.
+/// predicted checksums are the GEMM's fused sums, the deviations come from
+/// the screen, and `truth` is the fault-free accumulator the patch must
+/// reconstruct bit for bit.
 struct Fixture {
   ProtectedGemm pg;
   MatI8 a8;
   std::vector<std::int64_t> predicted;
+  std::vector<std::int64_t> predicted_w;
   MatI32 truth;
 
   Fixture(std::size_t m, std::size_t k, std::size_t n, Rng& rng) {
@@ -42,14 +45,16 @@ struct Fixture {
     pg = ProtectedGemm(cfg);
     pg.set_weights_quantized(random_i8(k, n, rng), {0.02f});
     a8 = random_i8(m, k, rng);
-    predicted = predict_col_checksum(a8, pg.weights());
-    truth = gemm_i8(a8, pg.weights());
+    gemm_i8(a8, pg.weights(), truth, &predicted, &predicted_w);
   }
 
-  PatchResult patch(MatI32& acc) const {
-    return try_patch(pg.config(), predicted, a8, pg.weights(), pg.weight_row_basis(),
-                     pg.weight_row_wbasis(), acc);
+  PatchResult patch(MatI32& acc, const std::vector<std::int64_t>& cols) const {
+    ScreenDeviations devs;
+    (void)screen_accumulator(pg.config(), cols, a8, pg.weight_row_basis(), acc, &devs);
+    return try_patch(pg.config(), cols, predicted_w, a8, pg.weight_row_basis(),
+                     pg.weight_row_wbasis(), std::move(devs), acc);
   }
+  PatchResult patch(MatI32& acc) const { return patch(acc, predicted); }
 };
 
 /// Restores the serial default even when a REALM_CHECK throws mid-case.
@@ -84,8 +89,7 @@ REALM_TEST(checksum_line_fault_fails_without_touching_acc) {
   std::vector<std::int64_t> doctored = fx.predicted;
   doctored[5] += 999;
   MatI32 acc = fx.truth;
-  const PatchResult res = try_patch(fx.pg.config(), doctored, fx.a8, fx.pg.weights(),
-                                    fx.pg.weight_row_basis(), fx.pg.weight_row_wbasis(), acc);
+  const PatchResult res = fx.patch(acc, doctored);
   REALM_CHECK(res.outcome == PatchOutcome::kFailed);
   REALM_CHECK_EQ(res.patches_applied, std::size_t{0});
   REALM_CHECK(acc == fx.truth);

@@ -14,11 +14,15 @@
 #include <utility>
 #include <vector>
 
+#include "detect/correct.h"
 #include "detect/detect.h"
 #include "fault/fault.h"
 #include "realm_test.h"
 #include "serve/engine.h"
 #include "serve/tile_grid.h"
+#include "tensor/checksum.h"
+#include "tensor/checksum_kernels.h"
+#include "tensor/gemm.h"
 #include "tensor/quant.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
@@ -195,6 +199,75 @@ REALM_TEST(activation_saturation_detected_and_recovered) {
   REALM_CHECK(corrected(res.report.verdict));
   REALM_CHECK(res.acc == ref.acc);
   REALM_CHECK(res.output == ref.output);
+}
+
+REALM_TEST(activation_strikes_match_full_weight_prediction_reference) {
+  // The pipeline predicts from the GEMM's fused sums plus the sparse ΔA fold
+  // (tensor::fold_operand_delta). Pin it against the full-weight formulas
+  // recomputed here: (eᵀA)·W and (uᵀA)·W over the whole clean a8, and row
+  // deviations taken against the clean a8. Verdicts and accumulators must
+  // agree on every request, with and without accumulator upsets on top.
+  const std::size_t m = 8, k = 64, n = 32;
+  Rng data(0xde17a);
+  const MatI8 w8 = random_i8(k, n, data);
+  ProtectedGemm pg;
+  pg.set_weights_quantized(w8, {0.02f});
+  const DetectionConfig& cfg = pg.config();
+  MemoryFaultConfig mfc;
+  mfc.seed = 0x5eed;
+  mfc.activations.ber = 4e-4;  // ~1.6 flips per request
+  const MemoryFaultModel model(mfc);
+  const MagFreqInjector acc_inj(1 << 20, 1);
+  const NullInjector none;
+  std::size_t act_patched = 0;
+  std::size_t act_recomputed = 0;
+  for (std::uint64_t op = 0; op < 200; ++op) {
+    const MatI8 a8 = random_i8(m, k, data);
+    const FaultInjector& inj = op % 2 == 1 ? static_cast<const FaultInjector&>(acc_inj) : none;
+    ProtectedGemmResult res;
+    Rng rng = Rng(op).fork(3);
+    pg.run_quantized_into(a8, {0.05f}, inj, rng, res, &model, op);
+
+    MatI8 work = a8;
+    (void)model.corrupt(Component::kActivations, op, work.flat());
+    MatI32 acc = gemm_i8(work, w8);
+    Rng ref_rng = Rng(op).fork(3);
+    (void)inj.inject(acc.flat(), ref_rng);
+    const std::vector<std::int64_t> pred = predict_col_checksum(a8, w8);
+    std::vector<std::int64_t> ua(k, 0);
+    for (std::size_t i = 0; i < m; ++i) {
+      const auto u = static_cast<std::int64_t>(i + 1);
+      for (std::size_t kk = 0; kk < k; ++kk) ua[kk] += u * a8(i, kk);
+    }
+    std::vector<std::int64_t> pred_w(n);
+    kernels::predict_col_checksum(ua.data(), w8.data(), k, n, pred_w.data());
+    const std::vector<std::int64_t>& we = pg.weight_row_basis();
+    const std::vector<std::int64_t>& wv = pg.weight_row_wbasis();
+    Verdict want = screen_accumulator(cfg, pred, work, we, acc).verdict;
+    if (want == Verdict::kDetected) {
+      ScreenDeviations devs;
+      (void)screen_accumulator(cfg, pred, a8, we, acc, &devs);
+      const correct::PatchResult patched =
+          correct::try_patch(cfg, pred, pred_w, a8, we, wv, std::move(devs), acc);
+      if (patched.outcome == correct::PatchOutcome::kPatched) {
+        want = Verdict::kPatched;
+      } else {
+        acc = gemm_i8(a8, w8);
+        if (screen_accumulator(cfg, pred, a8, we, acc).verdict == Verdict::kClean) {
+          want = Verdict::kRecomputed;
+        }
+      }
+    }
+    REALM_CHECK(res.report.verdict == want);
+    REALM_CHECK(res.acc == acc);
+    if (res.report.component_flips[idx(Component::kActivations)] > 0) {
+      act_patched += want == Verdict::kPatched ? 1 : 0;
+      act_recomputed += want == Verdict::kRecomputed ? 1 : 0;
+    }
+  }
+  // Both correction modes ran on struck activations: the pin is not vacuous.
+  REALM_CHECK(act_patched > 0);
+  REALM_CHECK(act_recomputed > 0);
 }
 
 REALM_TEST(grid_swap_scrub_rejects_faulted_load) {
