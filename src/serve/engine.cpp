@@ -56,8 +56,8 @@ ServeEngine::ServeEngine(const TileGrid& grid, ServeConfig cfg)
     : grid_(grid),
       cfg_(cfg),
       clock_(cfg.clock ? cfg.clock : &steady_clock_instance()),
-      sched_(cfg.queue_capacity),  // throws if the capacity is 0
-      tenants_(cfg.stats_window),  // throws if the window is 0
+      queue_(cfg.queue_capacity, kPriorityLanes),  // throws if the capacity is 0
+      tenants_(cfg.stats_window),                  // throws if the window is 0
       latency_window_(cfg.stats_window) {
   if (cfg_.metrics != nullptr) {
     obs::MetricsRegistry& reg = *cfg_.metrics;
@@ -103,8 +103,8 @@ ServeEngine::ServeEngine(const TileGrid& grid, ServeConfig cfg)
     }
   } catch (...) {
     // A failed spawn must not unwind past joinable threads (std::terminate);
-    // close the scheduler, join what started, surface the original error.
-    sched_.close();
+    // close the queue, join what started, surface the original error.
+    queue_.close();
     for (auto& th : threads_) th.join();
     throw;
   }
@@ -112,8 +112,8 @@ ServeEngine::ServeEngine(const TileGrid& grid, ServeConfig cfg)
 
 ServeEngine::~ServeEngine() {
   // Graceful close: no new admissions, workers drain every queued ticket
-  // (Scheduler::next keeps handing out work after close until empty).
-  sched_.close();
+  // (pop() keeps handing out work after close until every lane is empty).
+  queue_.close();
   for (auto& th : threads_) th.join();
 }
 
@@ -141,34 +141,37 @@ std::optional<Ticket> ServeEngine::enqueue(Request&& request, const SubmitOption
     // options.stream for interleaving-independent replays.
     slot.stream = stream = options.stream.value_or(ticket.id - 1);
     ++inflight_;
+    ++counters_.submitted;
   }
-  const bool admitted = blocking ? sched_.admit(ticket.id, options.priority)
-                                 : sched_.try_admit(ticket.id, options.priority);
+  // Count the admission before the ticket becomes claimable: a worker may
+  // pop, compute and account it before push() even returns. A refused ticket
+  // is moved from submitted to rejected below.
+  tenants_.record_submitted(tenant);
+  if (met_.queue_depth != nullptr) met_.queue_depth->add(1);
+  const std::size_t lane = lane_of(options.priority);
+  const bool admitted =
+      blocking ? queue_.push(ticket.id, lane) : queue_.try_push(ticket.id, lane);
   if (!admitted) {
+    if (met_.queue_depth != nullptr) met_.queue_depth->add(-1);
+    if (met_.rejected != nullptr) met_.rejected->inc();
+    emit_instant_control(cfg_.tracer, obs::SpanKind::kLoadShed, stream, tenant_id);
+    tenants_.record_rejected(tenant);
     {
       const std::lock_guard<std::mutex> lock(mu_);
       slots_.erase(ticket.id);
       --inflight_;
+      --counters_.submitted;
       ++counters_.rejected;
     }
-    if (met_.rejected != nullptr) met_.rejected->inc();
-    emit_instant_control(cfg_.tracer, obs::SpanKind::kLoadShed, stream, tenant_id);
-    tenants_.record_rejected(tenant);
     done_cv_.notify_all();  // a parked drain() must re-check its predicate
     if (blocking) {
-      // admit() only fails once the scheduler is closed — submitting into a
+      // push() only fails once the queue is closed — submitting into a
       // destructing engine is a caller bug worth throwing about.
       throw std::runtime_error("ServeEngine: submit after shutdown");
     }
     return std::nullopt;
   }
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    ++counters_.submitted;
-  }
   if (met_.submitted != nullptr) met_.submitted->inc();
-  if (met_.queue_depth != nullptr) met_.queue_depth->add(1);
-  tenants_.record_submitted(tenant);
   return ticket;
 }
 
@@ -218,7 +221,7 @@ void ServeEngine::worker_loop(std::size_t lane) {
   util::mark_thread_as_pool_worker();
   WorkerScratch scratch;
   std::uint64_t id = 0;
-  while (sched_.next(id)) {
+  while (queue_.pop(id)) {
     if (met_.queue_depth != nullptr) met_.queue_depth->add(-1);
     Request request;
     std::string tenant;
@@ -233,24 +236,30 @@ void ServeEngine::worker_loop(std::size_t lane) {
       tenant_id = slot.tenant_id;
       stream = slot.stream;
       submitted_at = slot.submitted_at;
-      if (slot.deadline && clock_->now() > *slot.deadline) {
-        // Retired at the deadline: the GEMM never runs, the output stays
-        // empty, and the request's fault stream is simply never drawn (other
-        // requests' streams are independent forks, so nothing shifts).
-        slot.state = TicketState::kExpired;
-        slot.response.expired = true;
-        expired = true;
-        ++counters_.expired;
-        --inflight_;
-      } else {
+      expired = slot.deadline && clock_->now() > *slot.deadline;
+      if (!expired) {
         slot.state = TicketState::kRunning;
         request = slot.request;  // pointers + shared_ptr: cheap, lock stays short
       }
     }
+    // Every retirement below accounts (tenant book, registry) BEFORE the
+    // state change that makes the ticket terminal: a waiter woken by any
+    // completion's notify_all must never find its own request uncounted.
     if (expired) {
+      // Retired at the deadline: the GEMM never runs, the output stays
+      // empty, and the request's fault stream is simply never drawn (other
+      // requests' streams are independent forks, so nothing shifts).
       if (met_.expired != nullptr) met_.expired->inc();
       emit_instant_lane(cfg_.tracer, lane, obs::SpanKind::kExpired, stream, tenant_id);
       tenants_.record_expired(tenant);
+      {
+        const std::lock_guard<std::mutex> lock(mu_);
+        Slot& slot = slots_.at(id);
+        slot.state = TicketState::kExpired;
+        slot.response.expired = true;
+        ++counters_.expired;
+        --inflight_;
+      }
       done_cv_.notify_all();
       continue;
     }
@@ -284,9 +293,27 @@ void ServeEngine::worker_loop(std::size_t lane) {
         }
       }
     }
-    const double latency_ms = response.latency_ms;
-    const detect::Verdict verdict = response.verdict.verdict;
-    const fault::ComponentFlips component_flips = response.verdict.component_flips;
+    const BatchVerdict& bv = response.verdict;
+    if (error) {
+      if (met_.failed != nullptr) met_.failed->inc();
+      tenants_.record_failed(tenant);
+    } else {
+      if (met_.completed != nullptr) {
+        met_.completed->inc();
+        met_.tiles_screened->inc(bv.tiles);
+        met_.tiles_detected->inc(bv.tiles_detected);
+        met_.tiles_patched->inc(bv.tiles_patched);
+        met_.tiles_recomputed->inc(bv.tiles_recomputed);
+        for (std::size_t i = 0; i < fault::kComponentCount; ++i) {
+          if (bv.component_flips[i] > 0) met_.component_flips[i]->inc(bv.component_flips[i]);
+        }
+        met_.latency_us->observe(response.latency_ms > 0
+                                     ? static_cast<std::uint64_t>(response.latency_ms * 1000.0)
+                                     : 0);
+      }
+      tenants_.record_completed(tenant, response.latency_ms, bv.verdict, bv.component_flips,
+                                clock_->now());
+    }
     {
       const std::lock_guard<std::mutex> lock(mu_);
       Slot& slot = slots_.at(id);
@@ -294,39 +321,20 @@ void ServeEngine::worker_loop(std::size_t lane) {
         slot.state = TicketState::kFailed;
         slot.error = error;
         ++counters_.failed;
-        if (met_.failed != nullptr) met_.failed->inc();
       } else {
         slot.state = TicketState::kDone;
         ++counters_.completed;
-        counters_.tiles_screened += response.verdict.tiles;
-        counters_.tiles_detected += response.verdict.tiles_detected;
-        counters_.tiles_patched += response.verdict.tiles_patched;
-        counters_.tiles_recomputed += response.verdict.tiles_recomputed;
+        counters_.tiles_screened += bv.tiles;
+        counters_.tiles_detected += bv.tiles_detected;
+        counters_.tiles_patched += bv.tiles_patched;
+        counters_.tiles_recomputed += bv.tiles_recomputed;
         for (std::size_t i = 0; i < fault::kComponentCount; ++i) {
-          counters_.component_flips[i] += component_flips[i];
+          counters_.component_flips[i] += bv.component_flips[i];
         }
-        counters_.latency_ms.add(latency_ms);
-        latency_window_.add(latency_ms);
-        if (met_.completed != nullptr) {
-          met_.completed->inc();
-          met_.tiles_screened->inc(response.verdict.tiles);
-          met_.tiles_detected->inc(response.verdict.tiles_detected);
-          met_.tiles_patched->inc(response.verdict.tiles_patched);
-          met_.tiles_recomputed->inc(response.verdict.tiles_recomputed);
-          for (std::size_t i = 0; i < fault::kComponentCount; ++i) {
-            if (component_flips[i] > 0) met_.component_flips[i]->inc(component_flips[i]);
-          }
-          met_.latency_us->observe(
-              latency_ms > 0 ? static_cast<std::uint64_t>(latency_ms * 1000.0) : 0);
-        }
+        latency_window_.add(response.latency_ms);
         slot.response = std::move(response);
       }
       --inflight_;
-    }
-    if (error) {
-      tenants_.record_failed(tenant);
-    } else {
-      tenants_.record_completed(tenant, latency_ms, verdict, component_flips, clock_->now());
     }
     done_cv_.notify_all();
   }
@@ -361,43 +369,6 @@ Response ServeEngine::wait(Ticket ticket) {
 void ServeEngine::drain() {
   std::unique_lock<std::mutex> lock(mu_);
   done_cv_.wait(lock, [&] { return inflight_ == 0; });
-}
-
-void ServeEngine::serve(std::span<const Request> requests, std::vector<Response>& responses) {
-  // Validate up front so malformed batches fail before anything is admitted.
-  for (const Request& rq : requests) {
-    if (rq.activation() == nullptr) {
-      throw std::invalid_argument("ServeEngine: request with null activation");
-    }
-  }
-  responses.resize(requests.size());
-  if (requests.empty()) return;
-
-  std::vector<Ticket> tickets;
-  tickets.reserve(requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    SubmitOptions options;
-    options.stream = i;  // the old per-batch fork(i) streams, bit-identical
-    tickets.push_back(submit(requests[i], options));
-  }
-  // Retire the whole batch even if a request failed: every ticket must be
-  // consumed before the first error is rethrown, or the engine would carry
-  // orphaned slots across serve() calls.
-  std::exception_ptr first_error;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    try {
-      responses[i] = wait(tickets[i]);
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-}
-
-std::vector<Response> ServeEngine::serve(std::span<const Request> requests) {
-  std::vector<Response> responses;
-  serve(requests, responses);
-  return responses;
 }
 
 ServeStats ServeEngine::stats() const {

@@ -7,7 +7,7 @@
 //        │  admission control: blocking submit() parks under backpressure
 //        │  (bounded budget shared across lanes); try_submit() sheds load
 //        v
-//   Scheduler lanes  [interactive] > [normal] > [batch]   (strict priority)
+//   PriorityMpmcQueue lanes  [interactive] > [normal] > [batch]   (strict)
 //        │
 //        v            persistent worker threads (ServeConfig::workers)
 //   worker_loop: pop most-urgent ticket ──> deadline check ──> TileGrid run
@@ -32,10 +32,10 @@
 // where `stream` is SubmitOptions::stream if pinned, else the ticket's
 // submission sequence. Verdicts and outputs are therefore a pure function of
 // (seed, request, stream) — independent of worker count, queue depth,
-// priorities, or completion order. The synchronous serve() shim pins
-// stream = batch index i, making it bit-identical to the pre-async engine
-// and to any async run that pins the same streams. Latency stats are the
-// only nondeterministic outputs.
+// priorities, or completion order: submitting request i with stream = i at
+// one worker is the reference every other worker count and interleaving
+// must reproduce bit for bit. Latency stats are the only nondeterministic
+// outputs.
 //
 // Weight hot-swap: the engine reads tiles through TileGrid's per-tile
 // snapshots, so the owner may call grid.swap_tile()/swap_weights() while
@@ -58,18 +58,17 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
-#include "serve/scheduler.h"
 #include "serve/tenant.h"
 #include "serve/ticket.h"
 #include "serve/tile_grid.h"
 #include "util/clock.h"
+#include "util/mpmc_queue.h"
 #include "util/stats.h"
 
 namespace realm::obs {  // obs/trace.h, obs/metrics.h
@@ -83,7 +82,7 @@ class LogHistogram;
 namespace realm::serve {
 
 struct ServeConfig {
-  /// Dedicated worker threads draining the scheduler. Clamped to >= 1.
+  /// Dedicated worker threads draining the admission queue. Clamped to >= 1.
   std::size_t workers = 1;
   /// Admission budget: total queued tickets across all priority lanes.
   /// submit() parks when it fills; try_submit() rejects.
@@ -167,11 +166,11 @@ struct Response {
 };
 
 /// Engine-wide accounting snapshot (see TenantStats for the per-tenant cut).
-/// The latency quantiles are sliding-window over the most recent
-/// `ServeConfig::stats_window` completions — NOT per-batch (there are no
-/// batches under continuous batching) and NOT whole-history (which goes
-/// stale); the `window_` prefix is deliberate so readers of the old
-/// per-batch `p50_ms`/`p99_ms` fields cannot silently misread them.
+/// The latency quantiles are exact over the most recent
+/// `ServeConfig::stats_window` completions (a util::SlidingWindow): a
+/// whole-history quantile goes stale under continuous traffic, so there is
+/// none. Whole-history latency lives in the registry's
+/// `realm_serve_request_latency_us` histogram when metrics are configured.
 struct ServeStats {
   std::uint64_t submitted = 0;  ///< admitted tickets
   std::uint64_t rejected = 0;   ///< try_submit refused at admission
@@ -189,7 +188,6 @@ struct ServeStats {
   /// Memory-hierarchy fault exposure summed over completed requests (the
   /// request-time components; see BatchVerdict::component_flips).
   fault::ComponentFlips component_flips{};
-  util::RunningStat latency_ms;  ///< cumulative over completed requests
   double window_p50_ms = 0;      ///< sliding window, last stats_window completions
   double window_p99_ms = 0;      ///< sliding window, last stats_window completions
   std::size_t window_count = 0;  ///< samples currently in the window
@@ -228,17 +226,10 @@ class ServeEngine {
 
   /// Block until every admitted ticket has been retired (done, expired, or
   /// failed). New submissions during a drain extend it.
+  ///
+  /// A ticket turns terminal only after it is counted, so once wait() or
+  /// drain() returns, stats(), tenant_stats() and the registry include it.
   void drain();
-
-  /// Synchronous compatibility shim on submit+wait: responses[i] answers
-  /// requests[i], with fault stream pinned to the batch index i — verdicts
-  /// and outputs are bit-identical to the pre-async batch engine and to an
-  /// async caller pinning the same streams, at any worker count. The first
-  /// worker exception is rethrown after the whole batch retires.
-  void serve(std::span<const Request> requests, std::vector<Response>& responses);
-
-  /// Allocating convenience overload.
-  [[nodiscard]] std::vector<Response> serve(std::span<const Request> requests);
 
   [[nodiscard]] ServeStats stats() const;
   /// Reset the rolling accounting surface in three internally-consistent
@@ -255,10 +246,6 @@ class ServeEngine {
   /// Snapshot one tenant's accounting; throws for a never-seen tenant.
   [[nodiscard]] TenantStats tenant_stats(std::string_view tenant) const;
   [[nodiscard]] std::vector<std::string> tenants() const;
-
-  [[nodiscard]] const TileGrid& grid() const noexcept { return grid_; }
-  [[nodiscard]] std::size_t workers() const noexcept { return threads_.size(); }
-  [[nodiscard]] std::size_t queue_depth() const { return sched_.depth(); }
 
  private:
   /// Ticket-table entry; guarded by mu_.
@@ -312,7 +299,9 @@ class ServeEngine {
   const TileGrid& grid_;
   const ServeConfig cfg_;
   const util::Clock* clock_;  ///< cfg_.clock or the process-wide steady clock
-  Scheduler sched_;
+  /// Admission budget + strict priority lanes of ticket ids (request state
+  /// lives in slots_, so queue items stay trivially movable).
+  util::PriorityMpmcQueue<std::uint64_t> queue_;
   TenantBook tenants_;
 
   mutable std::mutex mu_;

@@ -22,7 +22,9 @@ void TenantBook::record_submitted(std::string_view tenant) {
 
 void TenantBook::record_rejected(std::string_view tenant) {
   const std::lock_guard<std::mutex> lock(mu_);
-  ++state_locked(tenant).rejected;
+  State& s = state_locked(tenant);
+  --s.submitted;
+  ++s.rejected;
 }
 
 void TenantBook::record_expired(std::string_view tenant) {
@@ -49,7 +51,6 @@ void TenantBook::record_completed(std::string_view tenant, double latency_ms,
   if (verdict == detect::Verdict::kPatched) ++s.requests_patched;
   if (verdict == detect::Verdict::kRecomputed) ++s.requests_recomputed;
   if (verdict == detect::Verdict::kDetected) ++s.requests_detected;
-  s.latency_ms.add(latency_ms);
   s.latency_window.add(latency_ms);
   s.completed_at.push_back(now);
   while (s.completed_at.size() > window_) s.completed_at.pop_front();
@@ -83,7 +84,6 @@ TenantStats TenantBook::stats(std::string_view tenant) const {
   out.requests_recomputed = s.requests_recomputed;
   out.requests_detected = s.requests_detected;
   out.component_flips = s.component_flips;
-  out.latency_ms = s.latency_ms;
   out.window_count = s.latency_window.count();
   if (out.window_count > 0) {
     out.window_p50_ms = s.latency_window.quantile(0.50);

@@ -32,7 +32,7 @@ struct TenantStats {
   std::string tenant;
 
   // Admission / lifecycle counters.
-  std::uint64_t submitted = 0;  ///< admitted into the scheduler
+  std::uint64_t submitted = 0;  ///< admitted into the queue
   std::uint64_t rejected = 0;   ///< try_submit refused (budget exhausted)
   std::uint64_t completed = 0;  ///< computed to a verdict
   std::uint64_t expired = 0;    ///< deadline passed while queued
@@ -56,9 +56,8 @@ struct TenantStats {
   /// state, not per-tenant — see TileGrid::memory_flips()).
   fault::ComponentFlips component_flips{};
 
-  util::RunningStat latency_ms;  ///< cumulative over completed requests
-
-  // Sliding-window views (window span = ServeConfig::stats_window).
+  // Sliding-window views (window span = ServeConfig::stats_window); the
+  // quantiles are exact over the window (util::SlidingWindow).
   double window_p50_ms = 0;
   double window_p99_ms = 0;
   std::size_t window_count = 0;
@@ -89,7 +88,11 @@ class TenantBook {
   ///               the req/s rate; must be >= 1.
   explicit TenantBook(std::size_t window);
 
+  /// Counted before the ticket can be claimed, so a completion never
+  /// outruns its own submission.
   void record_submitted(std::string_view tenant);
+  /// Admission refused a ticket already counted by record_submitted: moves
+  /// it from submitted to rejected.
   void record_rejected(std::string_view tenant);
   void record_expired(std::string_view tenant);
   void record_failed(std::string_view tenant);
@@ -101,7 +104,7 @@ class TenantBook {
 
   /// Reset every tenant's sliding-window state — the latency-quantile window
   /// and the req/s completion-time window — in one critical section; the
-  /// cumulative counters and RunningStat are append-only history and stay.
+  /// cumulative counters are append-only history and stay.
   /// Part of ServeEngine::reset_stats()'s contract: a concurrent stats()
   /// observes the book either fully pre-reset or fully post-reset.
   void reset_windows();
@@ -126,7 +129,6 @@ class TenantBook {
     std::uint64_t requests_recomputed = 0;
     std::uint64_t requests_detected = 0;
     fault::ComponentFlips component_flips{};
-    util::RunningStat latency_ms;
     util::SlidingWindow latency_window;
     std::deque<util::TimePoint> completed_at;  ///< bounded by the window span
   };

@@ -12,15 +12,16 @@
 
 namespace realm::serve {
 
-/// Scheduling lane of a request. Lower is more urgent; the scheduler drains
-/// lanes in strict priority order (kInteractive starves kBatch by design).
+/// Scheduling lane of a request. Lower is more urgent; the engine's workers
+/// drain lanes in strict priority order (kInteractive starves kBatch by
+/// design).
 enum class Priority : std::uint8_t {
   kInteractive = 0,  ///< latency-sensitive foreground traffic
   kNormal = 1,       ///< default lane
   kBatch = 2,        ///< throughput traffic; yields to everything above
 };
 
-/// Number of scheduler lanes (one per Priority value).
+/// Number of priority lanes (one per Priority value).
 inline constexpr std::size_t kPriorityLanes = 3;
 
 [[nodiscard]] constexpr std::size_t lane_of(Priority p) noexcept {
@@ -34,7 +35,7 @@ inline constexpr std::string_view kDefaultTenant = "default";
 /// kFailed; poll() reports these, wait() additionally rethrows kFailed's
 /// stored exception.
 enum class TicketState : std::uint8_t {
-  kQueued = 0,   ///< admitted, parked in a scheduler lane
+  kQueued = 0,   ///< admitted, parked in a priority lane
   kRunning = 1,  ///< claimed by a worker, GEMM in flight
   kDone = 2,     ///< response ready (verdict may still be kDetected!)
   kExpired = 3,  ///< deadline passed before a worker claimed it; never computed

@@ -8,7 +8,6 @@
 #include "fault/memory.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "tensor/gemm.h"
 
 namespace realm::serve {
 
@@ -292,15 +291,6 @@ void TileGrid::run_tiles(const tensor::MatI8& a8, tensor::QuantParams qa,
     }
   }
   verdict.finalize();
-}
-
-void TileGrid::run_raw_into(const tensor::MatI8& a8,
-                            std::vector<tensor::MatI32>& scratch) const {
-  scratch.resize(tiles_.size());
-  for (std::size_t t = 0; t < tiles_.size(); ++t) {
-    const TileHandle pg = tile(t);
-    tensor::gemm_i8_prepacked(a8, pg->weights(), pg->weight_panels(), scratch[t]);
-  }
 }
 
 bool TileGrid::verify_weight_integrity() const {

@@ -22,8 +22,8 @@
 // immutable after construction. Tile CONTENTS are hot-swappable: each tile
 // slot holds a shared_ptr<const ProtectedGemm>, readers snapshot the pointer
 // per tile under a short lock and then run against the (immutable) snapshot,
-// and swap_tile() replaces the pointer the same way. run_into/run_raw_into
-// are const and may be called concurrently from any number of threads —
+// and swap_tile() replaces the pointer the same way. run_into is const and
+// may be called concurrently from any number of threads —
 // including concurrently with swap_tile — PROVIDED each caller passes its own
 // scratch/out buffers and its own Rng (the contract ServeEngine's per-worker
 // buffers satisfy). Per-tile randomness is drawn from rng.fork(tile_index),
@@ -242,11 +242,6 @@ class TileGrid {
                 std::vector<detect::ProtectedGemmResult>& scratch, tensor::MatF& out,
                 BatchVerdict& verdict, const fault::MemoryFaultModel* memory = nullptr,
                 std::uint64_t op = 0) const;
-
-  /// Unprotected baseline over the same tiles and resident panels: per-tile
-  /// prepacked GEMM only — no screen, no dequantize. The raw side of the
-  /// serve bench's per-request overhead measurement.
-  void run_raw_into(const tensor::MatI8& a8, std::vector<tensor::MatI32>& scratch) const;
 
   /// Scrub every tile's stationary weights against its resident bases.
   [[nodiscard]] bool verify_weight_integrity() const;

@@ -1,11 +1,11 @@
-// Streaming statistics and histograms used throughout the characterization
-// harness (Sec. IV of the paper) and by the statistical-unit hardware model.
+// Streaming statistics: a Welford accumulator for the characterization
+// harness (Sec. IV of the paper), exact quantiles, and the sliding window
+// that holds the serving engine's latency samples.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
 #include <limits>
 #include <span>
 #include <stdexcept>
@@ -22,8 +22,7 @@ namespace realm::util {
 ///    undefined at n == 1; 0 keeps downstream tables finite), min() == max()
 ///    == mean() == the sample;
 ///  * duplicate values: variance() is exactly 0.0 (the Welford update adds
-///    delta * (x - mean_) == 0 each step — no catastrophic cancellation);
-///  * merge() with an empty side is the identity in either direction.
+///    delta * (x - mean_) == 0 each step — no catastrophic cancellation).
 class RunningStat {
  public:
   void add(double x) noexcept {
@@ -33,23 +32,6 @@ class RunningStat {
     m2_ += delta * (x - mean_);
     min_ = std::min(min_, x);
     max_ = std::max(max_, x);
-  }
-
-  void merge(const RunningStat& other) noexcept {
-    if (other.n_ == 0) return;
-    if (n_ == 0) {
-      *this = other;
-      return;
-    }
-    const double delta = other.mean_ - mean_;
-    const auto na = static_cast<double>(n_);
-    const auto nb = static_cast<double>(other.n_);
-    const double nt = na + nb;
-    m2_ += other.m2_ + delta * delta * na * nb / nt;
-    mean_ += delta * nb / nt;
-    n_ += other.n_;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
   }
 
   [[nodiscard]] std::size_t count() const noexcept { return n_; }
@@ -67,37 +49,6 @@ class RunningStat {
   double m2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Fixed-range linear histogram. Out-of-range samples clamp to edge bins so
-/// that tail mass is visible rather than silently dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins) : lo_(lo), hi_(hi), counts_(bins, 0) {
-    if (!(hi > lo) || bins == 0) throw std::invalid_argument("Histogram: bad range/bins");
-  }
-
-  void add(double x) noexcept {
-    const double t = (x - lo_) / (hi_ - lo_);
-    auto idx = static_cast<std::int64_t>(t * static_cast<double>(counts_.size()));
-    idx = std::clamp<std::int64_t>(idx, 0, static_cast<std::int64_t>(counts_.size()) - 1);
-    ++counts_[static_cast<std::size_t>(idx)];
-    ++total_;
-  }
-
-  [[nodiscard]] std::size_t bin_count() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::uint64_t bin(std::size_t i) const { return counts_.at(i); }
-  [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-  [[nodiscard]] double bin_lo(std::size_t i) const noexcept {
-    return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(counts_.size());
-  }
-  [[nodiscard]] double bin_hi(std::size_t i) const noexcept { return bin_lo(i + 1); }
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 /// Fixed-capacity window over the most recent samples, for quantiles that
@@ -120,10 +71,8 @@ class SlidingWindow {
     ++added_;
   }
 
-  /// Samples currently in the window: min(total(), capacity()).
+  /// Samples currently in the window: min(lifetime adds, capacity()).
   [[nodiscard]] std::size_t count() const noexcept { return std::min(added_, ring_.size()); }
-  /// Lifetime adds, including samples that have slid out.
-  [[nodiscard]] std::size_t total() const noexcept { return added_; }
   [[nodiscard]] std::size_t capacity() const noexcept { return ring_.size(); }
 
   /// Exact quantile over the current window (see util::quantile for the q
@@ -149,14 +98,5 @@ class SlidingWindow {
 ///  * a single-sample input returns that sample for every q;
 ///  * duplicate values are fine — nth_element handles ties.
 [[nodiscard]] double quantile(std::span<const double> xs, double q);
-
-/// Ordinary least squares fit y = slope*x + intercept. Returns {slope,
-/// intercept, r2}. Throws if fewer than two points.
-struct LinearFit {
-  double slope = 0.0;
-  double intercept = 0.0;
-  double r2 = 0.0;
-};
-[[nodiscard]] LinearFit fit_line(std::span<const double> xs, std::span<const double> ys);
 
 }  // namespace realm::util

@@ -3,48 +3,31 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "realm_test.h"
 
-using realm::util::MpmcQueue;
 using realm::util::PriorityMpmcQueue;
 
-REALM_TEST(fifo_order_and_close_semantics) {
-  MpmcQueue<int> q(8);
-  for (int i = 0; i < 5; ++i) REALM_CHECK(q.push(i));
-  REALM_CHECK_EQ(q.size(), std::size_t{5});
-  q.close();
-  // close() is a graceful end-of-input: queued items still drain, in order.
-  int v = -1;
-  for (int i = 0; i < 5; ++i) {
-    REALM_CHECK(q.pop(v));
-    REALM_CHECK_EQ(v, i);
-  }
-  REALM_CHECK(!q.pop(v));      // closed and drained
-  REALM_CHECK(!q.push(99));    // producers see closed immediately
-  REALM_CHECK(q.closed());
-  q.close();                   // idempotent
-  REALM_CHECK_THROWS(MpmcQueue<int>(0), std::invalid_argument);
-}
-
 REALM_TEST(capacity_bound_applies_backpressure) {
-  // A capacity-1 queue forces the producer to park until the consumer pops:
-  // the queue depth can never exceed the bound, and nothing is lost.
-  MpmcQueue<int> q(1);
+  // A two-slot budget over two lanes forces the producer to park until the
+  // consumer pops: the total depth can never exceed the bound, nothing is
+  // lost, and each lane stays FIFO through the blocking.
+  PriorityMpmcQueue<int> q(2, 2);
   constexpr int kItems = 64;
   std::thread producer([&] {
-    for (int i = 0; i < kItems; ++i) q.push(i);
+    for (int i = 0; i < kItems; ++i) q.push(i, static_cast<std::size_t>(i % 2));
     q.close();
   });
   int v = -1;
   int received = 0;
+  int last[2] = {-1, -1};
   while (q.pop(v)) {
-    REALM_CHECK_EQ(v, received);  // FIFO preserved through the blocking
-    REALM_CHECK(q.size() <= 1);
+    REALM_CHECK(v > last[v % 2]);  // FIFO within the item's lane
+    last[v % 2] = v;
+    REALM_CHECK(q.size() <= q.capacity());
     ++received;
   }
   producer.join();
@@ -52,13 +35,13 @@ REALM_TEST(capacity_bound_applies_backpressure) {
 }
 
 REALM_TEST(many_producers_many_consumers_deliver_each_item_once) {
-  MpmcQueue<std::uint64_t> q(4);
   constexpr std::uint64_t kProducers = 3, kConsumers = 4, kPerProducer = 200;
+  PriorityMpmcQueue<std::uint64_t> q(4, kProducers);  // one lane per producer
   std::atomic<std::uint64_t> popped_sum{0}, popped_count{0};
   std::vector<std::thread> threads;
   for (std::uint64_t p = 0; p < kProducers; ++p) {
     threads.emplace_back([&, p] {
-      for (std::uint64_t i = 0; i < kPerProducer; ++i) q.push(p * kPerProducer + i);
+      for (std::uint64_t i = 0; i < kPerProducer; ++i) q.push(p * kPerProducer + i, p);
     });
   }
   std::vector<std::thread> consumers;
@@ -79,50 +62,20 @@ REALM_TEST(many_producers_many_consumers_deliver_each_item_once) {
   REALM_CHECK_EQ(popped_sum.load(), n * (n - 1) / 2);  // each value exactly once
 }
 
-REALM_TEST(close_with_queued_items_drains_before_reporting_end) {
-  // Shutdown edge: close() with a full queue and concurrent consumers. Every
-  // queued item must still be delivered (in order, observed per consumer via
-  // a monotonicity check) before pop() starts returning false — close is
-  // end-of-input, not discard.
-  MpmcQueue<int> q(16);
-  for (int i = 0; i < 16; ++i) REALM_CHECK(q.push(i));
-  q.close();
-  REALM_CHECK(!q.push(100));  // rejected while items are still queued
-  std::atomic<int> delivered{0};
-  std::vector<std::thread> consumers;
-  std::atomic<bool> order_ok{true};
-  for (int c = 0; c < 3; ++c) {
-    consumers.emplace_back([&] {
-      int v = -1;
-      int last = -1;
-      while (q.pop(v)) {
-        if (v <= last) order_ok = false;  // FIFO: each consumer sees increasing values
-        last = v;
-        delivered.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (auto& t : consumers) t.join();
-  REALM_CHECK(order_ok.load());
-  REALM_CHECK_EQ(delivered.load(), 16);
-  int v = -1;
-  REALM_CHECK(!q.pop(v));  // drained and closed: end of stream is sticky
-  REALM_CHECK_EQ(q.size(), std::size_t{0});
-}
-
 REALM_TEST(close_releases_blocked_producers_and_consumers) {
-  // Shutdown edge: threads parked inside push (queue full) and pop (queue
-  // empty) when close() lands must both wake and return false — a missed
-  // notify here is a hang, which the ctest timeout would surface.
-  MpmcQueue<int> full(1);
-  REALM_CHECK(full.push(0));
+  // Shutdown edge: threads parked inside push (budget exhausted — an urgent
+  // lane does not bypass it) and pop (every lane empty) when close() lands
+  // must both wake and return false — a missed notify here is a hang, which
+  // the ctest timeout would surface.
+  PriorityMpmcQueue<int> full(1, 2);
+  REALM_CHECK(full.push(0, 1));
   std::atomic<bool> push_result{true};
-  std::thread producer([&] { push_result = full.push(1); });  // parks: queue is full
-  MpmcQueue<int> empty(1);
+  std::thread producer([&] { push_result = full.push(1, 0); });  // parks: budget full
+  PriorityMpmcQueue<int> empty(1, 2);
   std::atomic<bool> pop_result{true};
   std::thread consumer([&] {
     int v = -1;
-    pop_result = empty.pop(v);  // parks: queue is empty
+    pop_result = empty.pop(v);  // parks: every lane is empty
   });
   // Give both threads a chance to reach their condvar waits before closing.
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -138,20 +91,23 @@ REALM_TEST(close_releases_blocked_producers_and_consumers) {
 }
 
 REALM_TEST(stressed_mpmc_with_mid_stream_close_loses_nothing_already_queued) {
-  // TSan-stressed shutdown: many producers race many consumers through a
-  // tiny queue while the main thread closes mid-stream. Accepted pushes and
-  // successful pops must balance exactly — close may refuse new items but
-  // can never drop an accepted one or double-deliver under contention.
+  // TSan-stressed shutdown: many producers on different lanes race many
+  // consumers through a tiny shared budget while the main thread closes
+  // mid-stream. Accepted pushes and successful pops must balance exactly —
+  // close may refuse new items but can never drop an accepted one or
+  // double-deliver under contention.
   constexpr int kProducers = 4, kConsumers = 4;
-  MpmcQueue<std::uint64_t> q(2);
+  constexpr std::size_t kLanes = 3;
+  PriorityMpmcQueue<std::uint64_t> q(2, kLanes);
   std::atomic<std::uint64_t> pushed_sum{0}, popped_sum{0};
   std::atomic<std::uint64_t> pushed_count{0}, popped_count{0};
   std::vector<std::thread> threads;
   for (int p = 0; p < kProducers; ++p) {
     threads.emplace_back([&, p] {
+      const std::size_t lane = static_cast<std::size_t>(p) % kLanes;
       for (std::uint64_t i = 1; i <= 500; ++i) {
         const std::uint64_t v = static_cast<std::uint64_t>(p) * 1000 + i;
-        if (!q.push(v)) break;  // close() observed: stop producing
+        if (!q.push(v, lane)) break;  // close() observed: stop producing
         pushed_sum.fetch_add(v, std::memory_order_relaxed);
         pushed_count.fetch_add(1, std::memory_order_relaxed);
       }
@@ -172,7 +128,7 @@ REALM_TEST(stressed_mpmc_with_mid_stream_close_loses_nothing_already_queued) {
   REALM_CHECK_EQ(popped_count.load(), pushed_count.load());
   REALM_CHECK_EQ(popped_sum.load(), pushed_sum.load());
   std::uint64_t v = 0;
-  REALM_CHECK(!q.pop(v));  // nothing stranded in the ring
+  REALM_CHECK(!q.pop(v));  // nothing stranded in any lane
 }
 
 REALM_TEST(priority_lanes_pop_in_priority_order) {
@@ -236,8 +192,11 @@ REALM_TEST(priority_close_drains_lanes_in_order_and_releases_blocked) {
     REALM_CHECK(q.pop(v));
     REALM_CHECK_EQ(v, w);
   }
-  REALM_CHECK(!q.pop(v));  // drained + closed
+  REALM_CHECK(!q.pop(v));      // drained + closed
+  REALM_CHECK(!q.push(9, 1));  // a non-blocked push sees closed immediately
   REALM_CHECK(q.closed());
+  q.close();                   // idempotent
+  REALM_CHECK(!q.pop(v));      // end of stream is sticky
 }
 
 REALM_TEST_MAIN()

@@ -6,7 +6,9 @@
 #include <chrono>
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "tensor/tensor.h"
 #include "util/clock.h"
 #include "util/rng.h"
+#include "util/stats.h"
 
 using namespace realm::serve;
 using namespace realm::detect;
@@ -104,6 +107,25 @@ MatF grid_reference(const TileGrid& grid, const MatI8& a8, QuantParams qa, std::
   const NullInjector none;
   grid.run_into(a8, qa, none, Rng(seed).fork(stream), scratch, out, bv);
   return out;
+}
+
+/// The determinism reference: submit request i with its fault stream pinned
+/// to i (blocking submit, so a small queue_capacity exercises admission
+/// backpressure), then wait in order. Responses are a pure function of
+/// (seed, request, i) at any worker count.
+std::vector<Response> submit_pinned_and_wait(ServeEngine& engine,
+                                             std::span<const Request> reqs) {
+  std::vector<Ticket> tickets;
+  tickets.reserve(reqs.size());
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    SubmitOptions opt;
+    opt.stream = i;
+    tickets.push_back(engine.submit(reqs[i], opt));
+  }
+  std::vector<Response> responses;
+  responses.reserve(reqs.size());
+  for (const Ticket t : tickets) responses.push_back(engine.wait(t));
+  return responses;
 }
 
 }  // namespace
@@ -294,8 +316,8 @@ REALM_TEST(multi_tile_faults_aggregate_worst_verdict) {
 REALM_TEST(engine_deterministic_at_1_2_8_workers) {
   // The whole point of per-request forked fault streams: verdicts and outputs
   // are a pure function of (seed, request, stream) — identical at any worker
-  // count and any queue interleaving. This exercises the synchronous shim
-  // (stream pinned to the batch index) across worker counts.
+  // count and any queue interleaving. Streams are pinned to the request
+  // index; the 1-worker run is the reference.
   Rng rng(104);
   const std::size_t k = 32, n = 96, m = 8, nreq = 12;
   const MatI8 w8 = random_i8(k, n, rng);
@@ -323,13 +345,12 @@ REALM_TEST(engine_deterministic_at_1_2_8_workers) {
     scfg.queue_capacity = 3;  // force admission backpressure on the wider runs
     scfg.seed = 0xfeed;
     ServeEngine engine(grid, scfg);
-    runs.push_back(engine.serve(reqs));
+    runs.push_back(submit_pinned_and_wait(engine, reqs));
     const ServeStats st = engine.stats();
     REALM_CHECK_EQ(st.submitted, std::uint64_t{nreq});
     REALM_CHECK_EQ(st.completed, std::uint64_t{nreq});
     REALM_CHECK_EQ(st.expired, std::uint64_t{0});
     REALM_CHECK_EQ(st.tiles_screened, std::uint64_t{nreq * grid.tile_count()});
-    REALM_CHECK_EQ(st.latency_ms.count(), std::size_t{nreq});
     REALM_CHECK_EQ(st.window_count, std::size_t{nreq});
     REALM_CHECK(st.window_p99_ms >= st.window_p50_ms);
   }
@@ -346,11 +367,11 @@ REALM_TEST(engine_deterministic_at_1_2_8_workers) {
   }
 }
 
-REALM_TEST(async_submit_matches_shim_under_randomized_interleavings) {
+REALM_TEST(async_submit_matches_pinned_reference_under_randomized_interleavings) {
   // Pinned streams make outputs independent of HOW requests reach the
   // engine: submit in seeded-random order, with random priorities and
-  // tenants, at 1/2/8 workers — every run must match the synchronous shim
-  // bit for bit, request for request.
+  // tenants, at 1/2/8 workers — every run must match the in-order 1-worker
+  // reference bit for bit, request for request.
   Rng rng(107);
   const std::size_t k = 32, n = 96, m = 8, nreq = 16;
   const MatI8 w8 = random_i8(k, n, rng);
@@ -373,7 +394,7 @@ REALM_TEST(async_submit_matches_shim_under_randomized_interleavings) {
   ServeConfig ref_cfg;
   ref_cfg.seed = 0xcafe;
   ServeEngine ref_engine(grid, ref_cfg);
-  const std::vector<Response> ref = ref_engine.serve(reqs);
+  const std::vector<Response> ref = submit_pinned_and_wait(ref_engine, reqs);
 
   Rng shuffle_rng(0x5eed);
   const Priority lanes[] = {Priority::kInteractive, Priority::kNormal, Priority::kBatch};
@@ -396,7 +417,7 @@ REALM_TEST(async_submit_matches_shim_under_randomized_interleavings) {
     std::vector<Ticket> tickets(nreq);
     for (const std::size_t i : order) {
       SubmitOptions opt;
-      opt.stream = i;  // pinned: the shim's stream for batch index i
+      opt.stream = i;  // pinned: the reference's stream for request i
       opt.priority = lanes[i % 3];
       opt.tenant = (i % 2 == 0) ? "even" : "odd";
       tickets[i] = engine.submit(reqs[i], opt);
@@ -770,18 +791,16 @@ REALM_TEST(stats_window_slides_and_reset_clears) {
   scfg.workers = 2;
   scfg.stats_window = 4;  // tiny window so it demonstrably slides
   ServeEngine engine(grid, scfg);
-  std::vector<Request> reqs(3, Request::borrow(a8, QuantParams{0.05f}, &mag));
-  std::vector<Response> responses;
-  engine.serve(reqs, responses);
+  const std::vector<Request> reqs(3, Request::borrow(a8, QuantParams{0.05f}, &mag));
+  (void)submit_pinned_and_wait(engine, reqs);
   ServeStats st = engine.stats();
   REALM_CHECK_EQ(st.completed, std::uint64_t{3});
   REALM_CHECK_EQ(st.window_count, std::size_t{3});  // under capacity: all held
-  engine.serve(reqs, responses);
+  (void)submit_pinned_and_wait(engine, reqs);
   st = engine.stats();
   REALM_CHECK_EQ(st.completed, std::uint64_t{6});
   REALM_CHECK_EQ(st.window_count, std::size_t{4});  // capped at the window span
   REALM_CHECK(st.window_p99_ms >= st.window_p50_ms);
-  REALM_CHECK_EQ(st.latency_ms.count(), std::size_t{6});  // cumulative keeps all
   // Every request corrects its single faulty tile (by either healing mode).
   REALM_CHECK_EQ(st.tiles_corrected(), std::uint64_t{6 * grid.tile_count()});
 
@@ -789,7 +808,95 @@ REALM_TEST(stats_window_slides_and_reset_clears) {
   st = engine.stats();
   REALM_CHECK_EQ(st.completed, std::uint64_t{0});
   REALM_CHECK_EQ(st.window_count, std::size_t{0});
-  REALM_CHECK_EQ(st.latency_ms.count(), std::size_t{0});
+}
+
+REALM_TEST(stats_window_quantiles_are_exact) {
+  // The one in-process latency store per series is an exact sliding window:
+  // with one worker, completions land in submission order, so the engine's
+  // window is the last 4 responses and each tenant's window is the last 4 of
+  // its own — and the reported quantiles are util::quantile over exactly
+  // those Response::latency_ms samples, bit for bit.
+  Rng rng(116);
+  const std::size_t k = 16, n = 16, m = 4, nreq = 10, window = 4;
+  const TileGrid grid(random_i8(k, n, rng), QuantParams{0.02f}, TileGridConfig{16, {}});
+  const MatI8 a8 = random_i8(m, k, rng);
+
+  ServeConfig scfg;
+  scfg.workers = 1;
+  scfg.stats_window = window;
+  ServeEngine engine(grid, scfg);
+  const char* const names[] = {"a", "b"};
+  std::vector<Ticket> tickets;
+  for (std::size_t i = 0; i < nreq; ++i) {
+    SubmitOptions opt;
+    opt.tenant = names[i % 2];
+    tickets.push_back(engine.submit(Request::borrow(a8, QuantParams{0.05f}), opt));
+  }
+  std::vector<double> all, per_tenant[2];
+  for (std::size_t i = 0; i < nreq; ++i) {
+    const double ms = engine.wait(tickets[i]).latency_ms;
+    all.push_back(ms);
+    per_tenant[i % 2].push_back(ms);
+  }
+  const auto last = [&](const std::vector<double>& xs) {
+    return std::vector<double>(xs.end() - static_cast<std::ptrdiff_t>(window), xs.end());
+  };
+  const ServeStats st = engine.stats();
+  REALM_CHECK_EQ(st.window_count, window);
+  REALM_CHECK_EQ(st.window_p50_ms, realm::util::quantile(last(all), 0.50));
+  REALM_CHECK_EQ(st.window_p99_ms, realm::util::quantile(last(all), 0.99));
+  for (std::size_t t = 0; t < 2; ++t) {
+    const TenantStats ts = engine.tenant_stats(names[t]);
+    REALM_CHECK_EQ(ts.window_count, window);
+    REALM_CHECK_EQ(ts.window_p50_ms, realm::util::quantile(last(per_tenant[t]), 0.50));
+    REALM_CHECK_EQ(ts.window_p99_ms, realm::util::quantile(last(per_tenant[t]), 0.99));
+  }
+}
+
+REALM_TEST(tenant_accounting_never_lags_wait_or_drain) {
+  // A ticket is counted (engine, tenant book) before it turns terminal, so
+  // wait() and drain() can never return ahead of the accounting. Eight
+  // workers finishing tiny requests make the notify_all storm that would
+  // wake a waiter between another ticket's retirement and its bookkeeping.
+  // Rounds alternate between waiting ticket by ticket and draining.
+  Rng rng(115);
+  const std::size_t k = 16, n = 16, m = 4, rounds = 40, per_round = 8;
+  const TileGrid grid(random_i8(k, n, rng), QuantParams{0.02f}, TileGridConfig{16, {}});
+  const MatI8 a8 = random_i8(m, k, rng);
+
+  ServeConfig scfg;
+  scfg.workers = 8;
+  scfg.queue_capacity = 16;
+  ServeEngine engine(grid, scfg);
+  const char* const names[] = {"a", "b"};
+  std::uint64_t done[2] = {0, 0};
+  for (std::size_t r = 0; r < rounds; ++r) {
+    std::vector<Ticket> tickets;
+    for (std::size_t i = 0; i < per_round; ++i) {
+      SubmitOptions opt;
+      opt.tenant = names[i % 2];
+      tickets.push_back(engine.submit(Request::borrow(a8, QuantParams{0.05f}), opt));
+    }
+    if (r % 2 == 1) {
+      engine.drain();
+      for (std::size_t t = 0; t < 2; ++t) done[t] += per_round / 2;
+      for (std::size_t t = 0; t < 2; ++t) {
+        REALM_CHECK_EQ(engine.tenant_stats(names[t]).completed, done[t]);
+      }
+      REALM_CHECK_EQ(engine.stats().completed, done[0] + done[1]);
+    }
+    for (std::size_t i = 0; i < per_round; ++i) {
+      (void)engine.wait(tickets[i]);
+      if (r % 2 == 1) continue;
+      ++done[i % 2];
+      REALM_CHECK(engine.tenant_stats(names[i % 2]).completed >= done[i % 2]);
+    }
+  }
+  engine.drain();
+  for (std::size_t t = 0; t < 2; ++t) {
+    REALM_CHECK_EQ(engine.tenant_stats(names[t]).completed, done[t]);
+    REALM_CHECK_EQ(engine.tenant_stats(names[t]).submitted, done[t]);
+  }
 }
 
 REALM_TEST(misuse_is_rejected) {
@@ -817,35 +924,29 @@ REALM_TEST(misuse_is_rejected) {
   REALM_CHECK_THROWS(ServeEngine(grid, bad_window), std::invalid_argument);
 
   ServeEngine engine(grid, ServeConfig{});
-  std::vector<Request> reqs(1);  // null activation
-  REALM_CHECK_THROWS(engine.serve(reqs), std::invalid_argument);
-  // The async front door rejects the same misuse at submit time — the
-  // lifetime-footgun death-test: a request with no activation never reaches
-  // a worker.
+  // The lifetime-footgun death-test: a request with no activation is
+  // rejected at submit time and never reaches a worker.
   REALM_CHECK_THROWS((void)engine.submit(Request{}), std::invalid_argument);
   REALM_CHECK_THROWS((void)engine.try_submit(Request{}), std::invalid_argument);
 
   // An exception thrown from INSIDE a worker (dim mismatch surfaces in
   // run_quantized_into, past the up-front validation) must surface from
-  // wait() — and therefore from the shim — as the original type.
+  // wait() as the original type, already counted, and consume the ticket;
+  // its neighbours are served normally.
   ServeConfig two;
   two.workers = 2;
   two.queue_capacity = 1;
   ServeEngine multi(grid, two);
   const MatI8 bad_dims = random_i8(2, 4, rng);  // cols != k
-  std::vector<Request> mixed(3);
-  for (auto& r : mixed) {
-    r.a8 = &a8;
-    r.qa = QuantParams{0.1f};
-  }
-  mixed[1].a8 = &bad_dims;
-  std::vector<Response> rsp;
-  REALM_CHECK_THROWS(multi.serve(mixed, rsp), std::invalid_argument);
+  const Ticket before = multi.submit(Request::borrow(a8, QuantParams{0.1f}));
+  const Ticket failing = multi.submit(Request::borrow(bad_dims, QuantParams{0.1f}));
+  const Ticket after = multi.submit(Request::borrow(a8, QuantParams{0.1f}));
+  REALM_CHECK(!multi.wait(before).expired);
+  REALM_CHECK_THROWS((void)multi.wait(failing), std::invalid_argument);
   REALM_CHECK_EQ(multi.stats().failed, std::uint64_t{1});
-  // The failed ticket was consumed by the shim; the engine carries no
-  // orphaned slots and keeps serving.
-  const Ticket ok = multi.submit(Request::borrow(a8, QuantParams{0.1f}));
-  REALM_CHECK(!multi.wait(ok).expired);
+  REALM_CHECK_EQ(multi.tenant_stats(kDefaultTenant).failed, std::uint64_t{1});
+  REALM_CHECK_THROWS((void)multi.poll(failing), std::invalid_argument);
+  REALM_CHECK(!multi.wait(after).expired);
 }
 
 REALM_TEST_MAIN()

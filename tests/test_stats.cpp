@@ -1,6 +1,5 @@
 #include "util/stats.h"
 
-#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <vector>
@@ -60,38 +59,6 @@ REALM_TEST(running_stat_edge_cases) {
   REALM_CHECK_EQ(dup.variance(), 0.0);
 }
 
-REALM_TEST(running_stat_merge_identities) {
-  RunningStat a;
-  for (const double x : {1.0, 2.0, 3.0, 10.0}) a.add(x);
-
-  // Merging an empty side is the identity in either direction.
-  RunningStat empty;
-  RunningStat a_copy = a;
-  a_copy.merge(empty);
-  REALM_CHECK_EQ(a_copy.count(), a.count());
-  REALM_CHECK_EQ(a_copy.mean(), a.mean());
-  REALM_CHECK_EQ(a_copy.variance(), a.variance());
-  RunningStat from_empty;
-  from_empty.merge(a);
-  REALM_CHECK_EQ(from_empty.count(), a.count());
-  REALM_CHECK_EQ(from_empty.mean(), a.mean());
-  REALM_CHECK_EQ(from_empty.max(), 10.0);
-
-  // Merged halves match the single-pass stream (Chan's parallel update).
-  RunningStat lo, hi, all;
-  const std::vector<double> xs{0.5, -2.0, 4.0, 4.0, 9.5, -1.25, 3.0, 8.0};
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    (i < xs.size() / 2 ? lo : hi).add(xs[i]);
-    all.add(xs[i]);
-  }
-  lo.merge(hi);
-  REALM_CHECK_EQ(lo.count(), all.count());
-  REALM_CHECK(std::abs(lo.mean() - all.mean()) < 1e-12);
-  REALM_CHECK(std::abs(lo.variance() - all.variance()) < 1e-12);
-  REALM_CHECK_EQ(lo.min(), all.min());
-  REALM_CHECK_EQ(lo.max(), all.max());
-}
-
 REALM_TEST(sliding_window_quantiles_track_recent_samples) {
   // Under capacity: quantiles over everything added so far.
   SlidingWindow w(4);
@@ -107,8 +74,7 @@ REALM_TEST(sliding_window_quantiles_track_recent_samples) {
   // 4-slot window, the 10/20 era is gone and the quantiles see only 30..60.
   for (const double x : {30.0, 40.0, 50.0, 60.0}) w.add(x);
   REALM_CHECK_EQ(w.count(), std::size_t{4});
-  REALM_CHECK_EQ(w.total(), std::size_t{6});  // lifetime adds keep counting
-  REALM_CHECK_EQ(w.quantile(0.0), 30.0);      // 10 and 20 evicted
+  REALM_CHECK_EQ(w.quantile(0.0), 30.0);  // 10 and 20 evicted
   REALM_CHECK_EQ(w.quantile(1.0), 60.0);
 
   // A fresh spike dominates p-high immediately — the window is why serving
