@@ -19,11 +19,8 @@ struct Patch {
   std::int64_t delta = 0;
 };
 
-/// Solve the weighted-basis equation for one line (a column or a row):
-/// a single fault at weighted position p satisfies weighted = (p+1)·plain,
-/// so p = weighted/plain − 1. Inexact division or an index outside
-/// [0, extent) means the line does not hold exactly one fault (or the fault
-/// pattern aliases); the caller leaves it for the recompute fallback.
+}  // namespace
+
 bool solve_line(std::int64_t plain, std::int64_t weighted, std::size_t extent,
                 std::size_t& index) {
   if (plain == 0 || weighted % plain != 0) return false;
@@ -32,8 +29,6 @@ bool solve_line(std::int64_t plain, std::int64_t weighted, std::size_t extent,
   index = static_cast<std::size_t>(pos1) - 1;
   return true;
 }
-
-}  // namespace
 
 PatchResult try_patch(const DetectionConfig& cfg,
                       const std::vector<std::int64_t>& predicted_cols,

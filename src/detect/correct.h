@@ -69,6 +69,15 @@ struct PatchResult {
   DetectionVerdict recheck;
 };
 
+/// Solve the weighted-basis equation for one line (a column or a row):
+/// a single fault at weighted position p satisfies weighted = (p+1)·plain,
+/// so p = weighted/plain − 1. Inexact division or an index outside
+/// [0, extent) means the line does not hold exactly one fault (or the fault
+/// pattern aliases); the caller leaves it for the recompute fallback. Shared
+/// with the reduced-width patch model in realm::sa.
+[[nodiscard]] bool solve_line(std::int64_t plain, std::int64_t weighted, std::size_t extent,
+                              std::size_t& index);
+
 /// Attempt the algebraic in-place correction of `acc` against the predicted
 /// column checksums (eᵀA)·W and (uᵀA)·W. `devs` are the plain deviations of
 /// `acc` against those predictions and against A·(W·e) for this `a8`, as

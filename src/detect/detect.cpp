@@ -16,12 +16,9 @@ namespace realm::detect {
 namespace {
 
 /// Fill the checksum-derived fields of a verdict from a column deviation.
-void load_column_stats(DetectionVerdict& v, const tensor::ColumnDeviation& dev,
-                       int datapath_bits) {
-  const std::int64_t clamped = util::clamp_to_bits(dev.msd_signed, datapath_bits);
-  v.msd_signed = clamped;
-  v.msd_abs = util::abs_u64(clamped);
-  v.l1 = dev.l1;
+void load_column_stats(DetectionVerdict& v, const tensor::ColumnDeviation& dev) {
+  v.msd_signed = dev.msd_signed;
+  v.msd_abs = dev.msd_abs;
   v.max_dev_pow2 = 0;
   for (const auto d : dev.diff) {
     if (d != 0) v.max_dev_pow2 = std::max(v.max_dev_pow2, util::ilog2_abs(d));
@@ -52,7 +49,7 @@ DetectionVerdict screen_accumulator(const DetectionConfig& cfg,
   DetectionVerdict report;
   // Column side: predicted (eᵀA)·W vs observed eᵀC, MSD thresholding.
   tensor::ColumnDeviation dev = tensor::column_deviation_from_predicted(predicted_cols, acc);
-  load_column_stats(report, dev, cfg.msd_datapath_bits);
+  load_column_stats(report, dev);
 
   bool flagged = report.msd_abs > cfg.msd_threshold;
   const bool two_sided = cfg.mode == CheckMode::kTwoSided;
@@ -95,12 +92,6 @@ const char* to_string(Verdict v) noexcept {
     case Verdict::kRecomputed: return "recomputed";
   }
   return "?";
-}
-
-ProtectedGemm::ProtectedGemm(DetectionConfig cfg) : cfg_(cfg) {
-  if (cfg_.msd_datapath_bits < 1) {
-    throw std::invalid_argument("ProtectedGemm: msd_datapath_bits must be >= 1");
-  }
 }
 
 void ProtectedGemm::set_weights(const tensor::MatF& w) {
@@ -297,37 +288,6 @@ void ProtectedGemm::run_quantized_into(const tensor::MatI8& a8, tensor::QuantPar
     const obs::ScopedSpan dequant_span(obs::SpanKind::kDequantize);
     tensor::dequantize_acc(result.acc, qa, qw_, result.output);
   }
-}
-
-std::uint64_t calibrate_msd_threshold(const ProtectedGemm& pg, std::size_t m,
-                                      std::size_t golden_runs, util::Rng& rng,
-                                      ActivationSpec spec) {
-  switch (spec.dist) {
-    case ActivationSpec::Dist::kNormal:
-      if (!(spec.p1 > 0.0)) {
-        throw std::invalid_argument("calibrate_msd_threshold: normal stddev must be > 0");
-      }
-      break;
-    case ActivationSpec::Dist::kUniform:
-      if (!(spec.p1 > spec.p0)) {
-        throw std::invalid_argument("calibrate_msd_threshold: uniform needs hi > lo");
-      }
-      break;
-  }
-  const std::size_t k = pg.weights().rows();
-  std::uint64_t worst = 0;
-  const fault::NullInjector none;
-  for (std::size_t run = 0; run < golden_runs; ++run) {
-    tensor::MatF a(m, k);
-    for (auto& x : a.flat()) {
-      x = static_cast<float>(spec.dist == ActivationSpec::Dist::kNormal
-                                 ? rng.normal(spec.p0, spec.p1)
-                                 : rng.uniform(spec.p0, spec.p1));
-    }
-    const ProtectedGemmResult r = pg.run(a, none, rng);
-    worst = std::max(worst, r.report.msd_abs);
-  }
-  return worst;
 }
 
 }  // namespace realm::detect

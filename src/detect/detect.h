@@ -85,16 +85,12 @@ struct DetectionConfig {
   /// Recompute the GEMM (fault-free replay) when a fault is flagged and the
   /// patch was disabled or its recheck came back dirty.
   bool recompute_on_detect = true;
-  /// Width of the modeled MSD accumulator datapath; the signed MSD is clamped
-  /// with util::clamp_to_bits before thresholding (64 = full precision).
-  int msd_datapath_bits = 64;
 };
 
 struct DetectionVerdict {
   Verdict verdict = Verdict::kClean;
-  std::int64_t msd_signed = 0;  ///< after datapath clamping
+  std::int64_t msd_signed = 0;  ///< Σ per-column deviation (saturating)
   std::uint64_t msd_abs = 0;
-  std::uint64_t l1 = 0;
   /// floor(log2(max |per-column deviation|)); 0 when clean. The magnitude
   /// axis of the paper's critical-region map (Fig. 6).
   int max_dev_pow2 = 0;
@@ -134,7 +130,7 @@ struct ScreenDeviations {
 
 /// The full-width (int64) checksum screen, exposed as a standalone step:
 /// exactly what run_quantized* applies internally — MSD thresholding of the
-/// clamped column statistic and, in two-sided mode, per-column deviations
+/// column statistic and, in two-sided mode, per-column deviations
 /// plus the row-side identity from `a8` and the resident basis `W·e`. The
 /// returned verdict is kClean or kDetected (correction is the pipeline's
 /// job, not the screen's) and `injection` is left default-initialized.
@@ -164,7 +160,7 @@ struct ScreenDeviations {
 // Calling set_weights* concurrently with any run* is a data race.
 class ProtectedGemm {
  public:
-  explicit ProtectedGemm(DetectionConfig cfg = {});
+  explicit ProtectedGemm(DetectionConfig cfg = {}) : cfg_(cfg) {}
 
   /// Calibrate + quantize the stationary weight operand and precompute its
   /// checksum basis W·e. Must be called before run()/run_quantized().
@@ -281,38 +277,5 @@ class ProtectedGemm {
   std::vector<std::int64_t> w_row_wbasis_;  ///< W·v, v=[1,2,…] (weighted ABFT basis)
   tensor::kernels::PackedB w_packed_;      ///< SIMD panels, resident likewise
 };
-
-/// Distribution of the synthetic activations calibrate_msd_threshold draws.
-/// Calibration must see value ranges like production traffic: the activation
-/// scale (and therefore which accumulator bits real deviations can reach)
-/// depends on it, so callers describe their regime instead of inheriting a
-/// hardcoded standard normal.
-struct ActivationSpec {
-  enum class Dist : std::uint8_t {
-    kNormal,   ///< normal(p0 = mean, p1 = stddev); stddev must be > 0
-    kUniform,  ///< uniform [p0 = lo, p1 = hi); requires hi > lo
-  };
-  Dist dist = Dist::kNormal;
-  double p0 = 0.0;
-  double p1 = 1.0;
-
-  /// SmoothQuant-style activations: roughly normal with rare outlier scale.
-  [[nodiscard]] static ActivationSpec normal(double mean, double stddev) {
-    return {Dist::kNormal, mean, stddev};
-  }
-  [[nodiscard]] static ActivationSpec uniform(double lo, double hi) {
-    return {Dist::kUniform, lo, hi};
-  }
-};
-
-/// Run `golden_runs` fault-free GEMMs over random activations drawn from
-/// `spec` and return the largest |MSD| observed (always 0 for exact integer
-/// checksums — the call exists so threshold calibration is an explicit,
-/// testable step rather than an assumption baked into DetectionConfig, and so
-/// reduced-width datapath models can calibrate against a realistic activation
-/// range). Throws std::invalid_argument on a degenerate spec.
-[[nodiscard]] std::uint64_t calibrate_msd_threshold(const ProtectedGemm& pg, std::size_t m,
-                                                    std::size_t golden_runs, util::Rng& rng,
-                                                    ActivationSpec spec = {});
 
 }  // namespace realm::detect

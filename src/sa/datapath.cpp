@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "detect/correct.h"
 #include "tensor/checksum_kernels.h"
 #include "tensor/gemm.h"
 
@@ -63,16 +64,6 @@ void weighted_row_sums_width(const tensor::MatI32& m, const DatapathConfig& cfg,
     }
     out[i] = reg.value();
   }
-}
-
-/// Same single-fault solve as the int64 corrector: weighted = (pos+1)·plain.
-bool solve_line(std::int64_t plain, std::int64_t weighted, std::size_t extent,
-                std::size_t& index) {
-  if (plain == 0 || weighted % plain != 0) return false;
-  const std::int64_t pos1 = weighted / plain;
-  if (pos1 < 1 || static_cast<std::uint64_t>(pos1) > extent) return false;
-  index = static_cast<std::size_t>(pos1) - 1;
-  return true;
 }
 
 }  // namespace
@@ -196,7 +187,7 @@ bool simulate_patch(const tensor::MatI32& truth, const tensor::MatI32& faulted,
     if (dc[j] == 0) continue;
     const std::int64_t wdc = width_sub(wobs_cols[j], wpred_cols[j], cfg.bits, cfg.overflow);
     std::size_t r = 0;
-    if (!solve_line(dc[j], wdc, m, r)) continue;
+    if (!detect::correct::solve_line(dc[j], wdc, m, r)) continue;
     const std::int64_t value =
         util::sat_sub_i64(static_cast<std::int64_t>(patched(r, j)), dc[j]);
     if (value < INT32_MIN || value > INT32_MAX) continue;
@@ -207,7 +198,7 @@ bool simulate_patch(const tensor::MatI32& truth, const tensor::MatI32& faulted,
   for (std::size_t i = 0; i < m; ++i) {
     if (dr[i] == 0) continue;
     std::size_t c = 0;
-    if (!solve_line(dr[i], wdr[i], n, c)) continue;
+    if (!detect::correct::solve_line(dr[i], wdr[i], n, c)) continue;
     const std::int64_t value =
         util::sat_sub_i64(static_cast<std::int64_t>(patched(i, c)), dr[i]);
     if (value < INT32_MIN || value > INT32_MAX) continue;

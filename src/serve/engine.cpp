@@ -353,12 +353,16 @@ Response ServeEngine::wait(Ticket ticket) {
   Slot slot;
   {
     std::unique_lock<std::mutex> lock(mu_);
-    if (slots_.find(ticket.id) == slots_.end()) {
+    // Re-look-up per check: concurrent submits may rehash the table, and a
+    // second waiter on the same ticket may have consumed it meanwhile.
+    auto it = slots_.end();
+    done_cv_.wait(lock, [&] {
+      it = slots_.find(ticket.id);
+      return it == slots_.end() || terminal(it->second.state);
+    });
+    if (it == slots_.end()) {
       throw std::invalid_argument("ServeEngine: unknown or already-consumed ticket");
     }
-    // Re-look-up per check: concurrent submits may rehash the table.
-    done_cv_.wait(lock, [&] { return terminal(slots_.at(ticket.id).state); });
-    const auto it = slots_.find(ticket.id);
     slot = std::move(it->second);
     slots_.erase(it);
   }

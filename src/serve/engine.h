@@ -221,7 +221,9 @@ class ServeEngine {
   /// Block until the ticket is terminal, then consume it. Returns the
   /// response (check Response::expired for deadline losses); rethrows the
   /// worker's exception for kFailed tickets. A ticket can be waited on
-  /// exactly once.
+  /// exactly once: when several threads wait on one ticket, one gets the
+  /// response and the others throw std::invalid_argument, like any wait on
+  /// a consumed ticket.
   Response wait(Ticket ticket);
 
   /// Block until every admitted ticket has been retired (done, expired, or

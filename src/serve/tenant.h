@@ -65,14 +65,6 @@ struct TenantStats {
   /// completions land in the window (and whenever the clock stands still).
   double req_per_s = 0;
 
-  [[nodiscard]] double fault_rate() const noexcept {
-    return completed ? static_cast<double>(requests_faulty) / static_cast<double>(completed) : 0.0;
-  }
-  [[nodiscard]] double correction_rate() const noexcept {
-    return requests_faulty
-               ? static_cast<double>(requests_corrected()) / static_cast<double>(requests_faulty)
-               : 0.0;
-  }
   /// Fraction of corrected requests healed by the cheap in-place patch (the
   /// latency-cliff avoidance rate the serving gate watches).
   [[nodiscard]] double patch_rate() const noexcept {

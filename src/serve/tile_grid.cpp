@@ -131,6 +131,16 @@ TileGrid::TileHandle TileGrid::tile(std::size_t t) const {
 }
 
 bool TileGrid::swap_tile(std::size_t t, tensor::MatI8 slice, tensor::QuantParams qw) {
+  return install_tile(t, std::move(slice), qw, nullptr, 0);
+}
+
+bool TileGrid::swap_tile(std::size_t t, tensor::MatI8 slice, tensor::QuantParams qw,
+                         const fault::MemoryFaultModel& memory, std::uint64_t op) {
+  return install_tile(t, std::move(slice), qw, &memory, op);
+}
+
+bool TileGrid::install_tile(std::size_t t, tensor::MatI8 slice, tensor::QuantParams qw,
+                            const fault::MemoryFaultModel* memory, std::uint64_t op) {
   if (t >= widths_.size()) throw std::invalid_argument("TileGrid: swap_tile index out of range");
   if (slice.rows() != rows_ || slice.cols() != widths_[t]) {
     throw std::invalid_argument("TileGrid: swap_tile slice shape must match the tile");
@@ -140,38 +150,18 @@ bool TileGrid::swap_tile(std::size_t t, tensor::MatI8 slice, tensor::QuantParams
   // packed, bases captured, verify_weight_integrity green).
   auto candidate = std::make_shared<detect::ProtectedGemm>(cfg_.detect);
   candidate->set_weights_quantized(std::move(slice), qw);
-  if (!candidate->verify_weight_integrity()) {
-    if (met_.scrub_rejects != nullptr) met_.scrub_rejects->inc();
-    emit_instant(obs::SpanKind::kScrubReject, t);
-    return false;
-  }
-  const std::lock_guard<std::mutex> lock(swap_mu_);
-  tiles_[t] = std::move(candidate);
-  ++swap_epoch_;
-  if (met_.swaps != nullptr) met_.swaps->inc();
-  if (met_.swap_epoch != nullptr) met_.swap_epoch->set(static_cast<std::int64_t>(swap_epoch_));
-  emit_instant(obs::SpanKind::kHotSwap, t);
-  return true;
-}
-
-bool TileGrid::swap_tile(std::size_t t, tensor::MatI8 slice, tensor::QuantParams qw,
-                         const fault::MemoryFaultModel& memory, std::uint64_t op) {
-  if (t >= widths_.size()) throw std::invalid_argument("TileGrid: swap_tile index out of range");
-  if (slice.rows() != rows_ || slice.cols() != widths_[t]) {
-    throw std::invalid_argument("TileGrid: swap_tile slice shape must match the tile");
-  }
-  auto candidate = std::make_shared<detect::ProtectedGemm>(cfg_.detect);
-  candidate->set_weights_quantized(std::move(slice), qw);
   // The load-time strike window: kWeights faults land on the candidate AFTER
   // its bases were captured (the bases model the known-good producer-side
   // checksums riding with the shard) and BEFORE the scrub vouches it. A net
   // fault therefore disagrees with the bases and the scrub rejects the load.
-  const std::uint64_t flips =
-      candidate->corrupt_weights(memory, fault::compose_op(op, t));
-  if (flips > 0) {
-    const auto c = static_cast<std::size_t>(fault::Component::kWeights);
-    if (met_.memory_flips[c] != nullptr) met_.memory_flips[c]->inc(flips);
-    emit_instant(obs::SpanKind::kInjectedFlips, t);
+  std::uint64_t flips = 0;
+  if (memory != nullptr) {
+    flips = candidate->corrupt_weights(*memory, fault::compose_op(op, t));
+    if (flips > 0) {
+      const auto c = static_cast<std::size_t>(fault::Component::kWeights);
+      if (met_.memory_flips[c] != nullptr) met_.memory_flips[c]->inc(flips);
+      emit_instant(obs::SpanKind::kInjectedFlips, t);
+    }
   }
   const bool ok = candidate->verify_weight_integrity();
   if (!ok) {

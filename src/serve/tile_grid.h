@@ -249,6 +249,11 @@ class TileGrid {
  private:
   void build(const tensor::MatI8& w8, tensor::QuantParams qw);
 
+  /// The one swap_tile body: validate, build the candidate, take kWeights
+  /// strikes when `memory` is non-null, scrub, then install or reject.
+  bool install_tile(std::size_t t, tensor::MatI8 slice, tensor::QuantParams qw,
+                    const fault::MemoryFaultModel* memory, std::uint64_t op);
+
   /// Control-lane instant on the configured tracer (no-op when untraced or
   /// when tracing is compiled out).
   void emit_instant(obs::SpanKind kind, std::size_t t) const;

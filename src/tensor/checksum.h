@@ -7,8 +7,8 @@
 // deviation, MSD = eᵀY·e − eᵀA·B·e).
 //
 // All checksum arithmetic is int64 here; reduced hardware widths (16-bit eᵀW
-// row, 32-bit accumulator buses) are modeled separately in realm::sa, which
-// reuses these exact functions with clamping.
+// row, 32-bit accumulator buses) are modeled separately in realm::sa through
+// the width-limited kernels::*_width reductions.
 //
 // Every reduction routes through the tiered SIMD layer in
 // checksum_kernels.{h,cpp} (avx512/avx2/portable, picked by the same runtime
@@ -41,11 +41,10 @@ namespace realm::tensor {
 [[nodiscard]] std::vector<std::int64_t> weighted_row_sums(const MatI8& m);
 [[nodiscard]] std::vector<std::int64_t> weighted_row_sums(const MatI32& m);
 
-/// Predicted column checksum of A·B, i.e. (eᵀA)·B, computed from the inputs.
+/// Predicted column checksum of A·B, i.e. (eᵀA)·B, computed from the inputs
+/// in O(k·n). No serving path runs it: the GEMM's fused eᵀC is the column
+/// prediction. It is the reference the fused sums are checked against.
 [[nodiscard]] std::vector<std::int64_t> predict_col_checksum(const MatI8& a, const MatI8& b);
-
-/// Predicted row checksum of A·B, i.e. A·(B·e).
-[[nodiscard]] std::vector<std::int64_t> predict_row_checksum(const MatI8& a, const MatI8& b);
 
 /// Re-aim the column checksums of a product computed from a corrupted copy
 /// of its left operand at the product of the clean copy. `cols` and `wcols`
@@ -61,9 +60,9 @@ namespace realm::tensor {
                                                           std::vector<std::int64_t>& cols,
                                                           std::vector<std::int64_t>& wcols);
 
-/// Same, from a precomputed weight basis B·e (= row_sums(b)); the hardware
-/// keeps this resident with the stationary weights so the per-GEMM row-side
-/// cost is O(m·k) instead of O(k·n + m·k).
+/// Predicted row checksum of A·B, i.e. A·(B·e), from a precomputed weight
+/// basis B·e (= row_sums(b)); the hardware keeps this resident with the
+/// stationary weights so the per-GEMM row-side cost is O(m·k).
 [[nodiscard]] std::vector<std::int64_t> predict_row_checksum(
     const MatI8& a, const std::vector<std::int64_t>& b_row_basis);
 
@@ -74,26 +73,12 @@ struct ColumnDeviation {
   std::vector<std::int64_t> diff;  ///< per-column signed deviation
   std::int64_t msd_signed = 0;     ///< Σ diff (what the Fig. 7c accumulator computes)
   std::uint64_t msd_abs = 0;       ///< |Σ diff|
-  std::uint64_t l1 = 0;            ///< Σ |diff| (ablation alternative; see DESIGN.md §6)
-
-  [[nodiscard]] bool any_nonzero() const noexcept {
-    for (const auto d : diff) {
-      if (d != 0) return true;
-    }
-    return false;
-  }
 };
-
-[[nodiscard]] ColumnDeviation column_deviation(const MatI8& a, const MatI8& b, const MatI32& c);
 
 /// Deviation computed from a precomputed predicted checksum (the hardware
 /// keeps eᵀW resident with the stationary weights, so prediction cost is paid
 /// once per weight tile, not once per GEMM).
 [[nodiscard]] ColumnDeviation column_deviation_from_predicted(
     const std::vector<std::int64_t>& predicted, const MatI32& c);
-
-/// Row-side deviation for two-sided (classical) ABFT.
-[[nodiscard]] std::vector<std::int64_t> row_deviation(const MatI8& a, const MatI8& b,
-                                                      const MatI32& c);
 
 }  // namespace realm::tensor

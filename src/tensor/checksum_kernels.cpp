@@ -30,9 +30,9 @@ constexpr std::size_t kRowGrain = 32;
 /// exact safe bound: 256·(−128) = −32768 = INT16_MIN and 256·127 = 32512.
 constexpr std::size_t kI16Block = 256;
 
-/// The predict kernels do their multiplies as 32×32→64 (vpmuldq), so the
-/// int64 multiplier must fit int32. Checksum bases are bounded by 128·rows,
-/// which only exceeds this for matrices over 2^24 rows; such calls (and any
+/// The predict_row kernels do their multiplies as 32×32→64 (vpmuldq), so the
+/// int64 basis entry must fit int32. Checksum bases are bounded by 128·cols,
+/// which only exceeds this for matrices over 2^24 columns; such calls (and any
 /// adversarial caller-supplied basis) take the scalar reference path instead.
 bool all_fit_i32(const std::int64_t* v, std::size_t len) {
   for (std::size_t i = 0; i < len; ++i) {
@@ -93,17 +93,6 @@ void weighted_row_sums_portable(const T* m, std::size_t cols, std::size_t r0, st
       acc += static_cast<std::int64_t>(j + 1) * static_cast<std::int64_t>(row[j]);
     }
     out[r] = acc;
-  }
-}
-
-void predict_col_portable(const std::int64_t* ea, const std::int8_t* b, std::size_t k,
-                          std::size_t n, std::size_t j0, std::size_t j1, std::int64_t* out) {
-  for (std::size_t j = j0; j < j1; ++j) out[j] = 0;
-  for (std::size_t kk = 0; kk < k; ++kk) {
-    const std::int64_t av = ea[kk];
-    if (av == 0) continue;
-    const std::int8_t* brow = b + kk * n;
-    for (std::size_t j = j0; j < j1; ++j) out[j] += av * static_cast<std::int64_t>(brow[j]);
   }
 }
 
@@ -244,36 +233,6 @@ __attribute__((target("avx2"))) void row_sums_i32_avx2(const std::int32_t* m, st
   }
 }
 
-__attribute__((target("avx2"))) void predict_col_avx2(const std::int64_t* ea,
-                                                      const std::int8_t* b, std::size_t k,
-                                                      std::size_t n, std::size_t j0,
-                                                      std::size_t j1, std::int64_t* out) {
-  std::size_t j = j0;
-  for (; j + 8 <= j1; j += 8) {
-    __m256i acc_e = _mm256_setzero_si256();  // columns j+0,2,4,6
-    __m256i acc_o = _mm256_setzero_si256();  // columns j+1,3,5,7
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const std::int64_t av = ea[kk];
-      if (av == 0) continue;
-      // vpmuldq sign-extends the low dword of each 64-bit lane; park av there.
-      const __m256i avv = _mm256_set1_epi64x(
-          static_cast<std::int64_t>(static_cast<std::uint32_t>(static_cast<std::int32_t>(av))));
-      const __m128i b8 = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(b + kk * n + j));
-      const __m256i b32 = _mm256_cvtepi8_epi32(b8);
-      acc_e = _mm256_add_epi64(acc_e, _mm256_mul_epi32(b32, avv));
-      acc_o = _mm256_add_epi64(acc_o, _mm256_mul_epi32(_mm256_srli_epi64(b32, 32), avv));
-    }
-    alignas(32) std::int64_t te[4], to[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(te), acc_e);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(to), acc_o);
-    for (std::size_t t = 0; t < 4; ++t) {
-      out[j + 2 * t] = te[t];
-      out[j + 2 * t + 1] = to[t];
-    }
-  }
-  if (j < j1) predict_col_portable(ea, b, k, n, j, j1, out);
-}
-
 __attribute__((target("avx2"))) void predict_row_avx2(const std::int8_t* a, std::size_t k,
                                                       const std::int32_t* basis32,
                                                       std::size_t r0, std::size_t r1,
@@ -388,35 +347,6 @@ __attribute__((target("avx512f"))) void row_sums_i32_avx512(const std::int32_t* 
     for (; j < cols; ++j) sum += row[j];
     out[r] = sum;
   }
-}
-
-__attribute__((target("avx512f"))) void predict_col_avx512(const std::int64_t* ea,
-                                                           const std::int8_t* b, std::size_t k,
-                                                           std::size_t n, std::size_t j0,
-                                                           std::size_t j1, std::int64_t* out) {
-  std::size_t j = j0;
-  for (; j + 16 <= j1; j += 16) {
-    __m512i acc_e = _mm512_setzero_si512();  // columns j+0,2,...,14
-    __m512i acc_o = _mm512_setzero_si512();  // columns j+1,3,...,15
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const std::int64_t av = ea[kk];
-      if (av == 0) continue;
-      const __m512i avv = _mm512_set1_epi64(
-          static_cast<std::int64_t>(static_cast<std::uint32_t>(static_cast<std::int32_t>(av))));
-      const __m128i b8 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + kk * n + j));
-      const __m512i b32 = _mm512_cvtepi8_epi32(b8);
-      acc_e = _mm512_add_epi64(acc_e, _mm512_mul_epi32(b32, avv));
-      acc_o = _mm512_add_epi64(acc_o, _mm512_mul_epi32(_mm512_srli_epi64(b32, 32), avv));
-    }
-    alignas(64) std::int64_t te[8], to[8];
-    _mm512_store_si512(te, acc_e);
-    _mm512_store_si512(to, acc_o);
-    for (std::size_t t = 0; t < 8; ++t) {
-      out[j + 2 * t] = te[t];
-      out[j + 2 * t + 1] = to[t];
-    }
-  }
-  if (j < j1) predict_col_avx2(ea, b, k, n, j, j1, out);
 }
 
 __attribute__((target("avx512f"))) void predict_row_avx512(const std::int8_t* a, std::size_t k,
@@ -591,22 +521,13 @@ void row_sums_i32_width(const std::int32_t* m, std::size_t rows, std::size_t col
 
 void predict_col_checksum(const std::int64_t* ea, const std::int8_t* b, std::size_t k,
                           std::size_t n, std::int64_t* out) {
-  if (n == 0) return;
-  Tier t = active_tier();
-  if (t != Tier::kPortable && !all_fit_i32(ea, k)) t = Tier::kPortable;
-  util::global_pool().parallel_for(n, kColGrain, [&](std::size_t j0, std::size_t j1) {
-#if REALM_X86
-    if (t == Tier::kAvx512) {
-      predict_col_avx512(ea, b, k, n, j0, j1, out);
-      return;
-    }
-    if (t == Tier::kAvx2) {
-      predict_col_avx2(ea, b, k, n, j0, j1, out);
-      return;
-    }
-#endif
-    predict_col_portable(ea, b, k, n, j0, j1, out);
-  });
+  std::fill_n(out, n, std::int64_t{0});
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    const std::int64_t av = ea[kk];
+    if (av == 0) continue;
+    const std::int8_t* brow = b + kk * n;
+    for (std::size_t j = 0; j < n; ++j) out[j] += av * static_cast<std::int64_t>(brow[j]);
+  }
 }
 
 void predict_row_checksum(const std::int8_t* a, std::size_t m, std::size_t k,

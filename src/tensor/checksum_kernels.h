@@ -19,9 +19,11 @@
 //  * row_sums_i8  — the vpsadbw trick: bias to uint8 (xor 0x80), sum absolute
 //    differences against zero into 64-bit lanes, subtract 128·cols once.
 //  * row_sums_i32 — sign-extend + add, horizontal reduce per row.
-//  * predict_*    — 32×32→64-bit vpmuldq products (the multiplier eᵀA / W·e
-//    entries are bounded by 128·rows, so they fit int32 for every matrix
-//    smaller than 2^24 rows; the unreachable huge case falls back to scalar).
+//  * predict_row  — 32×32→64-bit vpmuldq products (the multiplier W·e
+//    entries are bounded by 128·cols, so they fit int32 for every matrix
+//    smaller than 2^24 columns; the unreachable huge case falls back to
+//    scalar). predict_col_checksum is the O(k·n) scalar reference only: the
+//    GEMM's fused eᵀC is the column prediction on every serving path.
 //
 // All pointers are to dense row-major data; `out` buffers are fully
 // overwritten. Shapes with rows == 0 or cols == 0 write zeros.
@@ -75,7 +77,7 @@ void row_sums_i32_width(const std::int32_t* m, std::size_t rows, std::size_t col
 
 /// out[j] = Σ_k ea[k] · b[k][j]  (length n): the predicted column checksum
 /// (eᵀA)·B from a precomputed activation basis ea = col_sums(A) and row-major
-/// b[k x n].
+/// b[k x n]. Single-threaded scalar reference; every tier runs this body.
 void predict_col_checksum(const std::int64_t* ea, const std::int8_t* b, std::size_t k,
                           std::size_t n, std::int64_t* out);
 

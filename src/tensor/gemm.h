@@ -7,10 +7,9 @@
 // bit: a scheduling- or ISA-dependent output would be indistinguishable from
 // the faults this repository exists to detect.
 //
-// Output contract (identical for gemm_i8 and gemm_i8_bt): `c` is resized if
-// mis-shaped, then FULLY OVERWRITTEN without ever being read — callers never
-// need to zero it. (Before the kernel layer, gemm_i8 zero-filled `c` and
-// accumulated while gemm_i8_bt overwrote; the asymmetry is gone.)
+// Output contract (identical for gemm_i8 and gemm_i8_prepacked): `c` is
+// resized if mis-shaped, then FULLY OVERWRITTEN without ever being read —
+// callers never need to zero it.
 //
 // Each variant optionally emits the fused eᵀC column reduction: pass
 // `fused_col_sums` and it is resized to n and filled with col_sums of the C
@@ -52,13 +51,6 @@ void gemm_i8(const MatI8& a, const MatI8& b, MatI32& c,
 void gemm_i8_prepacked(const MatI8& a, const MatI8& b, const kernels::PackedB& pb, MatI32& c,
                        std::vector<std::int64_t>* fused_col_sums = nullptr,
                        std::vector<std::int64_t>* fused_wcol_sums = nullptr);
-
-/// C[m x n] = A[m x k] * B^T where bt is stored [n x k] (row-major). Used for
-/// attention scores Q*K^T where K rows are cache entries.
-void gemm_i8_bt(const MatI8& a, const MatI8& bt, MatI32& c,
-                std::vector<std::int64_t>* fused_col_sums = nullptr,
-                std::vector<std::int64_t>* fused_wcol_sums = nullptr);
-[[nodiscard]] MatI32 gemm_i8_bt(const MatI8& a, const MatI8& bt);
 
 /// FP32 reference GEMM (tests and golden comparisons only).
 [[nodiscard]] MatF gemm_f32(const MatF& a, const MatF& b);

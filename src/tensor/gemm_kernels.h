@@ -22,8 +22,7 @@
 // disjoint. The macro-loop is row-sharded across util::global_pool().
 //
 // C is FULLY OVERWRITTEN and never read — callers need not (and should not)
-// zero it first. This is the contract both tensor::gemm_i8 and
-// tensor::gemm_i8_bt expose.
+// zero it first. This is the contract tensor::gemm_i8 exposes.
 //
 // Fused eᵀC reduction: every entry point takes an optional `col_sums` buffer
 // (length n). When non-null it is fully overwritten with the per-column int64
@@ -61,7 +60,7 @@ enum class Tier : std::uint8_t {
 /// probed once via CPUID/XGETBV. Always at least kPortable.
 [[nodiscard]] Tier best_supported_tier() noexcept;
 
-/// Tier used by gemm_i8/gemm_i8_bt. Defaults to best_supported_tier(); the
+/// Tier used by gemm_i8/gemm_i8_prepacked. Defaults to best_supported_tier(); the
 /// REALM_KERNEL environment variable (portable|avx2|avx512) overrides the
 /// default at first use.
 [[nodiscard]] Tier active_tier() noexcept;
@@ -131,10 +130,5 @@ class PackedB {
 void gemm_i8_prepacked(const std::int8_t* a, const std::int8_t* b, const PackedB& pb,
                        std::int32_t* c, std::size_t m, std::size_t k, std::size_t n,
                        std::int64_t* col_sums = nullptr, std::int64_t* wcol_sums = nullptr);
-
-/// c[m x n] = a[m x k] * bt^T where bt is stored [n x k] row-major.
-void gemm_i8_bt(const std::int8_t* a, const std::int8_t* bt, std::int32_t* c, std::size_t m,
-                std::size_t k, std::size_t n, std::int64_t* col_sums = nullptr,
-                std::int64_t* wcol_sums = nullptr);
 
 }  // namespace realm::tensor::kernels

@@ -89,14 +89,4 @@ using MatI8 = Mat<std::int8_t>;
 using MatI32 = Mat<std::int32_t>;
 using MatI64 = Mat<std::int64_t>;
 
-/// Transpose (used for weight pre-packing and checksum identities in tests).
-template <typename T>
-[[nodiscard]] Mat<T> transpose(const Mat<T>& m) {
-  Mat<T> out(m.cols(), m.rows());
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    for (std::size_t c = 0; c < m.cols(); ++c) out(c, r) = m(r, c);
-  }
-  return out;
-}
-
 }  // namespace realm::tensor

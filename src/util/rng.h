@@ -91,8 +91,6 @@ class Rng {
     return lo + static_cast<std::int64_t>(uniform_u64(static_cast<std::uint64_t>(hi - lo + 1)));
   }
 
-  bool bernoulli(double p) noexcept { return uniform() < p; }
-
   /// Standard normal via Box–Muller with caching of the second variate.
   double normal() noexcept {
     if (has_cached_) {

@@ -169,34 +169,30 @@ REALM_TEST(predict_checksums_match_reference_across_tiers) {
       }
     }
     const MatI8 b = random_i8_full_range(s[1], s[2], rng);
-    const std::vector<std::int64_t> want_col = ref_predict_col(ref_col_sums(a), b);
-    const std::vector<std::int64_t> want_row = ref_predict_row(a, ref_col_sums(transpose(b)));
+    // The column prediction has one scalar body on every tier: it is the
+    // O(k·n) reference the fused sums are checked against, so check it once.
+    REALM_CHECK(predict_col_checksum(a, b) == ref_predict_col(ref_col_sums(a), b));
+    const std::vector<std::int64_t> want_row = ref_predict_row(a, ref_row_sums(b));
     for (const Tier t : supported_tiers()) {
       kernels::set_active_tier(t);
-      REALM_CHECK(predict_col_checksum(a, b) == want_col);
-      REALM_CHECK(predict_row_checksum(a, b) == want_row);
       REALM_CHECK(predict_row_checksum(a, row_sums(b)) == want_row);
     }
   }
 }
 
 REALM_TEST(predict_kernels_fall_back_on_out_of_range_multipliers) {
-  // The SIMD predict paths do 32x32->64 multiplies, so a basis entry outside
-  // int32 (unreachable from real matrices below 2^24 rows, but expressible
-  // through the raw kernel API) must take the exact scalar path on every tier.
+  // The SIMD row-predict paths do 32x32->64 multiplies, so a basis entry
+  // outside int32 (unreachable from real matrices below 2^24 columns, but
+  // expressible through the raw kernel API) must take the exact scalar path
+  // on every tier.
   realm::util::Rng rng(203);
   TierGuard guard;
-  const MatI8 b = random_i8_full_range(5, 37, rng);
   const MatI8 a = random_i8_full_range(11, 5, rng);
   const std::vector<std::int64_t> huge = {(std::int64_t{1} << 31) + 7, -1,
                                           -(std::int64_t{1} << 40), INT32_MAX, INT32_MIN};
-  const std::vector<std::int64_t> want_col = ref_predict_col(huge, b);
   const std::vector<std::int64_t> want_row = ref_predict_row(a, huge);
   for (const Tier t : supported_tiers()) {
     kernels::set_active_tier(t);
-    std::vector<std::int64_t> got_col(b.cols(), -1);
-    kernels::predict_col_checksum(huge.data(), b.data(), b.rows(), b.cols(), got_col.data());
-    REALM_CHECK(got_col == want_col);
     std::vector<std::int64_t> got_row(a.rows(), -1);
     kernels::predict_row_checksum(a.data(), a.rows(), a.cols(), huge.data(), got_row.data());
     REALM_CHECK(got_row == want_row);
@@ -206,7 +202,7 @@ REALM_TEST(predict_kernels_fall_back_on_out_of_range_multipliers) {
 REALM_TEST(fused_gemm_colsums_equal_identity_on_all_tiers) {
   // The store-phase fused reduction must equal both eᵀC read back from the
   // output AND the predicted (eᵀA)·B — the checksum identity ProtectedGemm
-  // banks on — for every tier, storage order, and tile-edge shape.
+  // banks on — for every tier, fresh or resident panels, and tile-edge shape.
   realm::util::Rng rng(204);
   TierGuard guard;
   const std::size_t shapes[][3] = {{1, 1, 1},  {8, 64, 32},  {9, 65, 33},   {4, 16, 16},
@@ -227,11 +223,6 @@ REALM_TEST(fused_gemm_colsums_equal_identity_on_all_tiers) {
       gemm_i8_prepacked(a, b, pb, c2, &fused2);
       REALM_CHECK(c2 == c);
       REALM_CHECK(fused2 == fused);
-      MatI32 c3;
-      std::vector<std::int64_t> fused3;
-      gemm_i8_bt(a, transpose(b), c3, &fused3);
-      REALM_CHECK(c3 == c);
-      REALM_CHECK(fused3 == fused);
     }
   }
   // k = 0: C and the fused sums are all zero.
@@ -247,8 +238,8 @@ REALM_TEST(fused_gemm_colsums_equal_identity_on_all_tiers) {
 
 REALM_TEST(fused_weighted_colsums_equal_readback_on_all_tiers_and_threads) {
   // The store-phase uᵀC fold feeds the corrector its weighted prediction, so
-  // it must equal uᵀC read back from the output at every tier, storage order,
-  // and pool size — including row tails past the microkernel's row block
+  // it must equal uᵀC read back from the output at every tier, with fresh or
+  // resident panels, and at every pool size — including row tails past the microkernel's row block
   // (m = 1, 33, 70) and widths that leave a partial panel (n % 16, n % 32).
   realm::util::Rng rng(207);
   TierGuard tier_guard;
@@ -275,11 +266,6 @@ REALM_TEST(fused_weighted_colsums_equal_readback_on_all_tiers_and_threads) {
         REALM_CHECK(c2 == c);
         REALM_CHECK(fused2 == col_sums(c));
         REALM_CHECK(wfused2 == want);
-        MatI32 c3;
-        std::vector<std::int64_t> wfused3;
-        gemm_i8_bt(a, transpose(b), c3, nullptr, &wfused3);
-        REALM_CHECK(c3 == c);
-        REALM_CHECK(wfused3 == want);
       }
       realm::util::set_global_threads(1);
     }

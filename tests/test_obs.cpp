@@ -539,10 +539,16 @@ REALM_TEST(grid_swap_and_scrub_instants_on_control_lane) {
   REALM_CHECK(text.find("realm_grid_swaps_total 2") != std::string::npos);
   REALM_CHECK(text.find("realm_grid_swap_epoch 2") != std::string::npos);
 
+  // A plain swap takes no memory-model strikes: no weight flips tallied,
+  // no injected-flips instant, under the same body as the faulted swap.
+  REALM_CHECK(grid.memory_flips() == realm::fault::ComponentFlips{});
   std::size_t hot_swaps = 0;
+  std::size_t injected = 0;
   for (const Event& e : tracer.snapshot(0)) {
     if (e.kind == SpanKind::kHotSwap) ++hot_swaps;
+    if (e.kind == SpanKind::kInjectedFlips) ++injected;
   }
+  REALM_CHECK_EQ(injected, std::size_t{0});
   if constexpr (kTraceCompiledIn) {
     REALM_CHECK_EQ(hot_swaps, grid.tile_count());
   } else {

@@ -2,6 +2,7 @@
 #include "serve/tile_grid.h"
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <chrono>
 #include <cstdint>
@@ -9,6 +10,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -778,6 +780,64 @@ REALM_TEST(owned_requests_and_ticket_lifecycle) {
   REALM_CHECK_THROWS((void)engine.poll(towned), std::invalid_argument);
   REALM_CHECK_THROWS((void)engine.poll(Ticket{}), std::invalid_argument);
   REALM_CHECK_THROWS((void)engine.wait(Ticket{987654}), std::invalid_argument);
+}
+
+REALM_TEST(concurrent_waits_on_one_ticket_yield_one_response) {
+  // Two threads wait() the same ticket while a gated blocker holds the only
+  // worker, so both are parked on the completion before the ticket turns
+  // terminal. Exactly one gets the Response; the loser wakes to a consumed
+  // ticket and must see the documented std::invalid_argument, never an
+  // exception leaking out of the slot lookup.
+  Rng rng(118);
+  const std::size_t k = 16, n = 24, m = 4;
+  const QuantParams qw{0.02f}, qa{0.05f};
+  TileGridConfig gcfg;
+  gcfg.tile_cols = n;  // single tile for the gate
+  const TileGrid grid(random_i8(k, n, rng), qw, gcfg);
+  const MatI8 a8 = random_i8(m, k, rng);
+
+  const GateInjector gate;
+  ServeConfig scfg;
+  scfg.workers = 1;
+  ServeEngine engine(grid, scfg);
+  const GateOpener opener{gate};
+
+  const Ticket blocker = engine.submit(Request::borrow(a8, qa, &gate));
+  REALM_CHECK(gate.wait_arrived(1));
+  const Ticket target = engine.submit(Request::borrow(a8, qa));
+
+  std::atomic<int> started{0};
+  std::atomic<int> responses{0};
+  std::atomic<int> invalid{0};
+  std::atomic<int> other{0};
+  const auto waiter = [&] {
+    started.fetch_add(1);
+    try {
+      (void)engine.wait(target);
+      responses.fetch_add(1);
+    } catch (const std::invalid_argument&) {
+      invalid.fetch_add(1);
+    } catch (...) {
+      other.fetch_add(1);
+    }
+  };
+  std::thread w1(waiter);
+  std::thread w2(waiter);
+  while (started.load() < 2) std::this_thread::yield();
+  // Neither waiter can finish while the worker is parked; give both time to
+  // block inside wait() before the ticket turns terminal.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const bool still_queued = engine.poll(target) == TicketState::kQueued;
+  gate.open();
+  w1.join();
+  w2.join();
+  (void)engine.wait(blocker);
+
+  REALM_CHECK(still_queued);
+  REALM_CHECK_EQ(responses.load(), 1);
+  REALM_CHECK_EQ(invalid.load(), 1);
+  REALM_CHECK_EQ(other.load(), 0);
+  REALM_CHECK_THROWS((void)engine.poll(target), std::invalid_argument);
 }
 
 REALM_TEST(stats_window_slides_and_reset_clears) {

@@ -26,15 +26,4 @@ REALM_TEST(mat_at_bounds_checked) {
   REALM_CHECK_THROWS(m.at(0, 3), std::out_of_range);
 }
 
-REALM_TEST(transpose_roundtrip) {
-  MatI8 m(3, 2);
-  std::int8_t v = 0;
-  for (auto& x : m.flat()) x = v++;
-  const MatI8 t = transpose(m);
-  REALM_CHECK_EQ(t.rows(), std::size_t{2});
-  REALM_CHECK_EQ(t.cols(), std::size_t{3});
-  REALM_CHECK(transpose(t) == m);
-  REALM_CHECK_EQ(t(1, 2), m(2, 1));
-}
-
 REALM_TEST_MAIN()
