@@ -8,6 +8,12 @@ bench/baseline.json and fails (exit 1) on any regression beyond tolerance in:
   * detect_ms    — ceiling: current <= baseline * (1 + tolerance) + slack_ms
   * overhead_pct — ceiling: current <= baseline * (1 + tolerance) + slack_pct
 
+The record must come from the kernel tier the baseline was recorded on
+(its "kernel_tier"; run the bench with REALM_KERNEL set to it): overhead_pct
+is screen cost over GEMM time, so a faster GEMM tier raises it with no
+slower screen, and a slower tier passes raw_gops floors it should not. A
+record from another tier exits nonzero before any metric is compared.
+
 The baseline is a deliberately conservative envelope (see README "Refreshing
 the baseline"): it must hold across GitHub runner generations, so the gate
 catches structural regressions (losing SIMD dispatch, packing, blocking, the
@@ -163,6 +169,10 @@ def main():
 
     if current.get("threads") != 1:
         sys.exit(f"gate requires a single-thread run, got threads={current.get('threads')}")
+    if current.get("kernel_tier") != baseline.get("kernel_tier"):
+        sys.exit(f"kernel tier mismatch: record ran on {current.get('kernel_tier')!r}, baseline "
+                 f"was recorded on {baseline.get('kernel_tier')!r}; rerun the bench with "
+                 f"REALM_KERNEL={baseline.get('kernel_tier')}")
 
     base_shapes = {(s["m"], s["k"], s["n"]): s for s in baseline["shapes"]}
     failures = []

@@ -128,8 +128,8 @@ bool ProtectedGemm::verify_weight_integrity() const {
   if (w_packed_.valid_for(tensor::kernels::active_tier(), w8_.rows(), w8_.cols())) {
     const tensor::kernels::PackedB repacked =
         tensor::kernels::pack_b(w8_.data(), w8_.rows(), w8_.cols());
-    const std::span<const std::int16_t> fresh = repacked.raw_panels();
-    const std::span<const std::int16_t> resident = w_packed_.raw_panels();
+    const std::span<const std::int8_t> fresh = repacked.raw_panels();
+    const std::span<const std::int8_t> resident = w_packed_.raw_panels();
     if (fresh.size() != resident.size() ||
         !std::equal(fresh.begin(), fresh.end(), resident.begin())) {
       return false;
@@ -157,8 +157,7 @@ std::uint64_t ProtectedGemm::corrupt_panels(const fault::MemoryFaultModel& memor
                                             std::uint64_t op,
                                             std::vector<fault::FlipRecord>* record) {
   if (w8_.empty()) throw std::logic_error("ProtectedGemm: set_weights() not called");
-  return memory.corrupt16(fault::Component::kPackedPanels, op, w_packed_.mutable_panels(),
-                          record);
+  return memory.corrupt(fault::Component::kPackedPanels, op, w_packed_.mutable_panels(), record);
 }
 
 ProtectedGemmResult ProtectedGemm::run(const tensor::MatF& a,

@@ -30,7 +30,7 @@ namespace realm::fault {
 /// paper's original compute-path model (post-GEMM INT32 bit flips); the other
 /// three are the at-rest SRAM/DRAM strikes the memory-hierarchy model in
 /// fault/memory.h adds: stationary INT8 weights corrupted once at load,
-/// packed INT16 weight panels corrupted at rest between requests, and INT8
+/// packed SIMD weight panels (bytes) corrupted at rest between requests, and INT8
 /// activations corrupted per request before they feed the GEMM.
 enum class Component : std::uint8_t {
   kWeights = 0,       ///< resident quantized weight tile (flipped at load)
@@ -79,8 +79,8 @@ struct FlipRecord {
   /// Which memory-hierarchy component the mutation struck. Defaults to the
   /// accumulator so the original FaultInjector family (which predates the
   /// component axis) stays source-compatible; the MemoryFaultModel streams
-  /// stamp their own component. For INT8/INT16 components, before/after hold
-  /// the sign-extended element values.
+  /// stamp their own component. For the byte components, before/after hold
+  /// the sign-extended byte values.
   Component component = Component::kAccumulator;
 };
 

@@ -82,48 +82,4 @@ std::uint64_t MemoryFaultModel::corrupt(Component c, std::uint64_t op,
   return total;
 }
 
-std::uint64_t MemoryFaultModel::corrupt16(Component c, std::uint64_t op,
-                                          std::span<std::int16_t> words,
-                                          std::vector<FlipRecord>* record) const {
-  if (record != nullptr) record->clear();
-  const ComponentParams& p = cfg_.params(c);  // throws for kAccumulator
-  if (p.ber <= 0.0 || words.empty()) return 0;
-  util::Rng rng = component_stream(cfg_.seed, c, op);
-  // The 8-bit lane window applies to both byte lanes of every INT16 word.
-  const auto bits = static_cast<std::uint64_t>(p.bit_hi - p.bit_lo + 1);
-  const std::uint64_t bits_per_word = 2 * bits;
-  const std::uint64_t trials = words.size() * bits_per_word;
-  const auto flip = [&](std::size_t elem, int bit) {
-    auto word = static_cast<std::uint16_t>(words[elem]);
-    word ^= static_cast<std::uint16_t>(1u << bit);
-    const auto after = static_cast<std::int16_t>(word);
-    if (record != nullptr) {
-      record->push_back({elem, words[elem], after, static_cast<std::int16_t>(bit), c});
-    }
-    words[elem] = after;
-  };
-  std::uint64_t total = 0;
-  for (std::uint64_t epoch = 0; epoch < p.rest_epochs; ++epoch) {
-    if (p.ber >= 1.0) {
-      for (std::size_t e = 0; e < words.size(); ++e) {
-        for (int lane = 0; lane < 2; ++lane) {
-          for (int b = p.bit_lo; b <= p.bit_hi; ++b) flip(e, lane * 8 + b);
-        }
-      }
-      total += trials;
-      continue;
-    }
-    const std::uint64_t flips = rng.binomial(trials, p.ber);
-    for (std::uint64_t f = 0; f < flips; ++f) {
-      const std::uint64_t pos = rng.uniform_u64(trials);
-      const auto elem = static_cast<std::size_t>(pos / bits_per_word);
-      const std::uint64_t rem = pos % bits_per_word;
-      const int lane = static_cast<int>(rem / bits);
-      flip(elem, lane * 8 + p.bit_lo + static_cast<int>(rem % bits));
-    }
-    total += flips;
-  }
-  return total;
-}
-
 }  // namespace realm::fault

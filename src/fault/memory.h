@@ -3,7 +3,7 @@
 // The original injectors attack only the post-GEMM accumulator — the paper's
 // compute-path error model. Production silent data corruption also strikes
 // data AT REST: the stationary quantized weight tile (hit once when loaded at
-// set_weights/swap_tile time), the packed INT16 B panels sitting in SRAM
+// set_weights/swap_tile time), the packed SIMD B panels sitting in SRAM
 // between requests, and the INT8 activations staged in DRAM/SRAM before they
 // feed the GEMM. This model covers those three components with independent
 // BER / retention-time parameters per component.
@@ -36,9 +36,9 @@
 
 namespace realm::fault {
 
-/// Per-component fault parameters. Bit positions index within an 8-bit lane:
-/// INT8 components attack bits [bit_lo, bit_hi] of each byte; the INT16
-/// panel component attacks the same window in BOTH byte lanes of each word.
+/// Per-component fault parameters. Every component is a byte image (the
+/// panels are too: int8 quads or int16 pairs, see tensor/gemm_kernels.h), and
+/// bits [bit_lo, bit_hi] of each byte are attackable.
 struct ComponentParams {
   double ber = 0.0;               ///< per-bit upset probability per epoch (0 disables)
   int bit_lo = 0;                 ///< lowest attackable bit of the 8-bit lane
@@ -73,16 +73,16 @@ inline constexpr std::uint64_t kComponentTagBase = 0xc0317a60'00000000ULL;
 /// colliding at any plausible op volume.
 [[nodiscard]] std::uint64_t compose_op(std::uint64_t hi, std::uint64_t lo) noexcept;
 
-/// Applies per-component at-rest corruption to byte (INT8) or word (INT16)
-/// images. Stateless between calls: every corruption is fully determined by
-/// (config, component, op).
+/// Applies per-component at-rest corruption to byte images. Stateless
+/// between calls: every corruption is fully determined by (config,
+/// component, op).
 class MemoryFaultModel {
  public:
   /// Validates every component's parameters (BER in [0,1], 0 <= bit_lo <=
   /// bit_hi <= 7, rest_epochs >= 1); throws std::invalid_argument otherwise.
   explicit MemoryFaultModel(MemoryFaultConfig cfg);
 
-  /// Corrupt an INT8 image (weights or activations) in place. Returns the
+  /// Corrupt a byte image (weights, activations or packed panels) in place. Returns the
   /// number of physical bit flips applied (re-upsets of the same bit count
   /// each time). BER >= 1 flips every eligible bit exactly once per epoch —
   /// the deterministic saturation edge case. When `record` is non-null it is
@@ -90,11 +90,6 @@ class MemoryFaultModel {
   /// order (reverse replay reconstructs the clean image).
   std::uint64_t corrupt(Component c, std::uint64_t op, std::span<std::int8_t> bytes,
                         std::vector<FlipRecord>* record = nullptr) const;
-
-  /// Same for an INT16 image (the packed panel buffer): the component's
-  /// [bit_lo, bit_hi] lane window applies to both bytes of every word.
-  std::uint64_t corrupt16(Component c, std::uint64_t op, std::span<std::int16_t> words,
-                          std::vector<FlipRecord>* record = nullptr) const;
 
   /// True when the component's BER is nonzero (the model can touch it).
   [[nodiscard]] bool enabled(Component c) const { return cfg_.params(c).ber > 0.0; }

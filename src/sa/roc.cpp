@@ -223,7 +223,7 @@ SweepResult run_sweep(const SweepConfig& cfg) {
           }
           case fault::Component::kPackedPanels: {
             tensor::kernels::PackedB pb = panels;
-            mem.corrupt16(fault::Component::kPackedPanels, op, pb.mutable_panels());
+            mem.corrupt(fault::Component::kPackedPanels, op, pb.mutable_panels());
             const auto cl = panels.raw_panels();
             const auto co = pb.raw_panels();
             image_corrupted = !std::equal(cl.begin(), cl.end(), co.begin());

@@ -29,47 +29,114 @@ namespace {
 // AVX2's 16 ymm registers fit a 4x16 tile (8 accumulators).
 constexpr std::size_t kMr512 = 8, kNr512 = 32;
 constexpr std::size_t kMr256 = 4, kNr256 = 16;
-/// Rows of A converted to int16 at a time; keeps the packed block L2-resident
-/// even at the kMaxK inner dimension (64 rows x 2^16 x 2B = 8 MiB worst case,
-/// 64 KiB for typical k).
+/// Bytes per k-group row of a panel: 4 k-steps x 32 cols of u8 for the
+/// vpdpbusd tier, 2 k-steps x 16 cols of int16 for the vpmaddwd tier.
+constexpr std::size_t kQuadRowBytes = 4 * kNr512;
+constexpr std::size_t kPairRowBytes = 2 * kNr256 * sizeof(std::int16_t);
+/// Rows of A copied (and, on the AVX2 tier, widened to int16) at a time;
+/// keeps the copied block L2-resident for typical k (256 KiB of bytes at
+/// k = 4096; 64 rows x 2^16 x 2 B = 8 MiB worst case at kMaxK).
 constexpr std::size_t kRowBlock = 64;
 /// parallel_for grain: at least one full microkernel tile of rows per chunk.
 constexpr std::size_t kRowGrain = 8;
 
 #if REALM_X86
 
-std::size_t nr_for(Tier t) noexcept { return t == Tier::kAvx512 ? kNr512 : kNr256; }
+std::size_t panel_bytes(Tier t, std::size_t k, std::size_t n) noexcept {
+  if (t == Tier::kAvx512) return (n + kNr512 - 1) / kNr512 * ((k + 3) / 4) * kQuadRowBytes;
+  return (n + kNr256 - 1) / kNr256 * ((k + 1) / 2) * kPairRowBytes;
+}
 
 // ---------------------------------------------------------------------------
-// Packing. Both SIMD tiers consume the same layout: B split into column
-// panels of width nr; within a panel, k-step pairs are interleaved and
-// sign-extended to int16 so one vpmaddwd consumes two k-steps:
-//   panel[kp][2*j]   = b(2kp,   j0+j)
-//   panel[kp][2*j+1] = b(2kp+1, j0+j)   (0 past the k or n edge)
+// Packing (layouts in the header comment).
 // ---------------------------------------------------------------------------
 
-void pack_b_panels(const std::int8_t* b, std::size_t k, std::size_t n, std::size_t nr,
-                   std::int16_t* out) {
+/// AVX2 layout: int16 k-pairs, panel[p][kp][2j+t] = b(2kp+t, 16p+j). Two
+/// full rows sign-extend and interleave 16 columns with SSE2 unpacks; edges
+/// take the scalar path.
+void pack_b_pairs(const std::int8_t* b, std::size_t k, std::size_t n, std::int8_t* out) {
   const std::size_t kpairs = (k + 1) / 2;
-  const std::size_t panels = (n + nr - 1) / nr;
+  const std::size_t panels = (n + kNr256 - 1) / kNr256;
+  const __m128i zero = _mm_setzero_si128();
   for (std::size_t p = 0; p < panels; ++p) {
-    const std::size_t j0 = p * nr;
-    const std::size_t jw = std::min(nr, n - j0);
-    std::int16_t* po = out + p * kpairs * 2 * nr;
+    const std::size_t j0 = p * kNr256;
+    const std::size_t jw = std::min(kNr256, n - j0);
     for (std::size_t kp = 0; kp < kpairs; ++kp) {
-      const std::size_t k0 = 2 * kp;
-      const std::int8_t* r0 = b + k0 * n;
-      const std::int8_t* r1 = (k0 + 1 < k) ? r0 + n : nullptr;
-      std::int16_t* dst = po + kp * 2 * nr;
-      for (std::size_t j = 0; j < jw; ++j) {
-        dst[2 * j] = r0[j0 + j];
-        dst[2 * j + 1] = r1 ? r1[j0 + j] : std::int16_t{0};
+      const std::int8_t* r0 = b + 2 * kp * n + j0;
+      const bool has_r1 = 2 * kp + 1 < k;
+      std::int8_t* dst = out + (p * kpairs + kp) * kPairRowBytes;
+      if (has_r1 && jw == kNr256) {
+        const __m128i x0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(r0));
+        const __m128i x1 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(r0 + n));
+        const __m128i s0 = _mm_cmpgt_epi8(zero, x0), s1 = _mm_cmpgt_epi8(zero, x1);
+        const __m128i lo0 = _mm_unpacklo_epi8(x0, s0), hi0 = _mm_unpackhi_epi8(x0, s0);
+        const __m128i lo1 = _mm_unpacklo_epi8(x1, s1), hi1 = _mm_unpackhi_epi8(x1, s1);
+        const __m128i pairs[4] = {
+            _mm_unpacklo_epi16(lo0, lo1), _mm_unpackhi_epi16(lo0, lo1),
+            _mm_unpacklo_epi16(hi0, hi1), _mm_unpackhi_epi16(hi0, hi1)};
+        for (std::size_t v = 0; v < 4; ++v) {
+          _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + 16 * v), pairs[v]);
+        }
+        continue;
       }
-      for (std::size_t j = jw; j < nr; ++j) {
-        dst[2 * j] = 0;
-        dst[2 * j + 1] = 0;
+      std::int16_t row[2 * kNr256] = {};
+      for (std::size_t j = 0; j < jw; ++j) {
+        row[2 * j] = r0[j];
+        if (has_r1) row[2 * j + 1] = r0[n + j];
+      }
+      std::memcpy(dst, row, kPairRowBytes);
+    }
+  }
+}
+
+/// AVX-512 layout: biased int8 quads, panel[p][q][4j+t] = b(4q+t, 32p+j) ^ 0x80.
+/// Four full rows interleave 16 columns at a time with two unpack levels
+/// (byte pairs, then pair quads); edges take the scalar path.
+void pack_b_quads(const std::int8_t* b, std::size_t k, std::size_t n, std::int8_t* out) {
+  const std::size_t kq = (k + 3) / 4;
+  const std::size_t panels = (n + kNr512 - 1) / kNr512;
+  const __m128i bias = _mm_set1_epi8(static_cast<char>(0x80));
+  for (std::size_t q = 0; q < kq; ++q) {
+    const std::int8_t* rows = b + 4 * q * n;
+    const bool full_k = 4 * q + 4 <= k;
+    for (std::size_t p = 0; p < panels; ++p) {
+      const std::size_t j0 = p * kNr512;
+      const std::size_t jw = std::min(kNr512, n - j0);
+      std::int8_t* dst = out + (p * kq + q) * kQuadRowBytes;
+      if (full_k && jw == kNr512) {
+        for (std::size_t h = 0; h < kNr512; h += 16) {
+          const auto ld = [&](std::size_t t) {
+            return _mm_loadu_si128(reinterpret_cast<const __m128i*>(rows + t * n + j0 + h));
+          };
+          const __m128i r0 = ld(0), r1 = ld(1), r2 = ld(2), r3 = ld(3);
+          const __m128i p01l = _mm_unpacklo_epi8(r0, r1), p01h = _mm_unpackhi_epi8(r0, r1);
+          const __m128i p23l = _mm_unpacklo_epi8(r2, r3), p23h = _mm_unpackhi_epi8(r2, r3);
+          const __m128i quads[4] = {
+              _mm_unpacklo_epi16(p01l, p23l), _mm_unpackhi_epi16(p01l, p23l),
+              _mm_unpacklo_epi16(p01h, p23h), _mm_unpackhi_epi16(p01h, p23h)};
+          for (std::size_t v = 0; v < 4; ++v) {
+            _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + 4 * h + 16 * v),
+                             _mm_xor_si128(quads[v], bias));
+          }
+        }
+        continue;
+      }
+      for (std::size_t j = 0; j < kNr512; ++j) {
+        for (std::size_t t = 0; t < 4; ++t) {
+          const bool in = j < jw && 4 * q + t < k;
+          const auto w = static_cast<std::uint8_t>(in ? rows[t * n + j0 + j] : 0);
+          dst[4 * j + t] = static_cast<std::int8_t>(w ^ 0x80u);
+        }
       }
     }
+  }
+}
+
+void pack_panels(Tier t, const std::int8_t* b, std::size_t k, std::size_t n, std::int8_t* out) {
+  if (t == Tier::kAvx512) {
+    pack_b_quads(b, k, n, out);
+  } else {
+    pack_b_pairs(b, k, n, out);
   }
 }
 
@@ -84,9 +151,26 @@ void pack_a_i16(const std::int8_t* a, std::size_t k, std::size_t kpad, std::size
   }
 }
 
-/// Broadcastable A pair (two adjacent int16 values) read without alignment or
-/// aliasing UB; compiles to a single 32-bit load.
-inline std::int32_t a_pair(const std::int16_t* p) noexcept {
+/// Copy rows [i0, i1) of A into zero-padded kpad-byte rows and return each
+/// row's bias term 128·Σ_k a[i][k]: what the W+128 panels add to its dot
+/// products. |128·Σ a| <= 2^30 at k = 2^16, so int32 holds it.
+void pack_a_quads(const std::int8_t* a, std::size_t k, std::size_t kpad, std::size_t i0,
+                  std::size_t i1, std::int8_t* out, std::int32_t* row_bias) {
+  for (std::size_t i = i0; i < i1; ++i) {
+    std::int8_t* dst = out + (i - i0) * kpad;
+    const std::int8_t* src = a + i * k;
+    std::memcpy(dst, src, k);
+    std::memset(dst + k, 0, kpad - k);
+    std::int32_t sum = 0;
+    for (std::size_t kk = 0; kk < k; ++kk) sum += src[kk];
+    row_bias[i - i0] = 128 * sum;
+  }
+}
+
+/// Broadcastable A pair (two int16) or quad (four int8) read without
+/// alignment or aliasing UB; compiles to a single 32-bit load.
+template <typename T>
+inline std::int32_t a_word(const T* p) noexcept {
   std::int32_t v;
   std::memcpy(&v, p, sizeof(v));
   return v;
@@ -137,7 +221,7 @@ void portable_rows(const std::int8_t* a, const std::int8_t* b, std::int32_t* c, 
 // ---------------------------------------------------------------------------
 
 __attribute__((target("avx2"))) void kern_avx2_full(const std::int16_t* a16, std::size_t lda,
-                                                    const std::int16_t* pb, std::size_t kpairs,
+                                                    const std::int8_t* pb, std::size_t kpairs,
                                                     std::int32_t* c, std::size_t ldc,
                                                     std::int64_t* csum) {
   __m256i acc[kMr256][2];
@@ -147,11 +231,11 @@ __attribute__((target("avx2"))) void kern_avx2_full(const std::int16_t* a16, std
   }
   for (std::size_t kp = 0; kp < kpairs; ++kp) {
     const __m256i b0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pb + kp * 2 * kNr256));
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pb + kp * kPairRowBytes));
     const __m256i b1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pb + kp * 2 * kNr256 + 16));
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pb + kp * kPairRowBytes + 32));
     for (std::size_t r = 0; r < kMr256; ++r) {
-      const __m256i av = _mm256_set1_epi32(a_pair(a16 + r * lda + 2 * kp));
+      const __m256i av = _mm256_set1_epi32(a_word(a16 + r * lda + 2 * kp));
       acc[r][0] = _mm256_add_epi32(acc[r][0], _mm256_madd_epi16(av, b0));
       acc[r][1] = _mm256_add_epi32(acc[r][1], _mm256_madd_epi16(av, b1));
     }
@@ -183,7 +267,7 @@ __attribute__((target("avx2"))) void kern_avx2_full(const std::int16_t* a16, std
 }
 
 __attribute__((target("avx2"))) void kern_avx2_edge(const std::int16_t* a16, std::size_t lda,
-                                                    const std::int16_t* pb, std::size_t kpairs,
+                                                    const std::int8_t* pb, std::size_t kpairs,
                                                     std::int32_t* c, std::size_t ldc,
                                                     std::size_t mr, std::size_t jw,
                                                     std::int64_t* csum) {
@@ -194,11 +278,11 @@ __attribute__((target("avx2"))) void kern_avx2_edge(const std::int16_t* a16, std
   }
   for (std::size_t kp = 0; kp < kpairs; ++kp) {
     const __m256i b0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pb + kp * 2 * kNr256));
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pb + kp * kPairRowBytes));
     const __m256i b1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pb + kp * 2 * kNr256 + 16));
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pb + kp * kPairRowBytes + 32));
     for (std::size_t r = 0; r < mr; ++r) {
-      const __m256i av = _mm256_set1_epi32(a_pair(a16 + r * lda + 2 * kp));
+      const __m256i av = _mm256_set1_epi32(a_word(a16 + r * lda + 2 * kp));
       acc[r][0] = _mm256_add_epi32(acc[r][0], _mm256_madd_epi16(av, b0));
       acc[r][1] = _mm256_add_epi32(acc[r][1], _mm256_madd_epi16(av, b1));
     }
@@ -214,7 +298,7 @@ __attribute__((target("avx2"))) void kern_avx2_edge(const std::int16_t* a16, std
   }
 }
 
-__attribute__((target("avx2"))) void avx2_rows(const std::int8_t* a, const std::int16_t* pb,
+__attribute__((target("avx2"))) void avx2_rows(const std::int8_t* a, const std::int8_t* pb,
                                                std::int32_t* c, std::size_t k, std::size_t n,
                                                std::size_t i0, std::size_t i1,
                                                std::int64_t* csum) {
@@ -228,7 +312,7 @@ __attribute__((target("avx2"))) void avx2_rows(const std::int8_t* a, const std::
     for (std::size_t p = 0; p < panels; ++p) {
       const std::size_t j0 = p * kNr256;
       const std::size_t jw = std::min(kNr256, n - j0);
-      const std::int16_t* pbp = pb + p * kpairs * 2 * kNr256;
+      const std::int8_t* pbp = pb + p * kpairs * kPairRowBytes;
       for (std::size_t i = ib; i < ie; i += kMr256) {
         const std::size_t mr = std::min(kMr256, ie - i);
         const std::int16_t* arows = a16.data() + (i - ib) * kpad;
@@ -245,32 +329,47 @@ __attribute__((target("avx2"))) void avx2_rows(const std::int8_t* a, const std::
 }
 
 // ---------------------------------------------------------------------------
-// AVX-512 tier: 8x32 tile, same scheme at double width.
+// AVX-512 VNNI tier: 8x32 tile, one vpdpbusd per A quad and 16 columns. The
+// panels hold W+128 (u8), so each accumulator ends at C + 128·Σ_k a[i][k];
+// `row_bias` carries that term per row and is subtracted before the store.
 // ---------------------------------------------------------------------------
 
 // Suppresses the GCC PR105593 -Wmaybe-uninitialized false positive from the
 // vpmovsxdq widening in the fused store phase; see src/util/compiler.h.
 REALM_BEGIN_AVX512_SECTION
 
-__attribute__((target("avx512f,avx512bw"))) void kern_avx512_full(
-    const std::int16_t* a16, std::size_t lda, const std::int16_t* pb, std::size_t kpairs,
-    std::int32_t* c, std::size_t ldc, std::int64_t* csum) {
+/// acc += per-lane dot of four u8 (b) by four s8 (a). Issued by hand: GCC 12
+/// copies every accumulator through a spare register around each
+/// _mm512_dpbusd_epi32 in this loop, which costs about a fifth of the
+/// kernel's throughput.
+__attribute__((target("avx512f,avx512bw,avx512vnni"))) inline __m512i dpbusd(
+    __m512i acc, __m512i b, __m512i a) {
+  __asm__("vpdpbusd %[a], %[b], %[acc]" : [acc] "+v"(acc) : [b] "v"(b), [a] "v"(a));
+  return acc;
+}
+
+__attribute__((target("avx512f,avx512bw,avx512vnni"))) void kern_vnni_full(
+    const std::int8_t* a8, std::size_t lda, const std::int32_t* row_bias, const std::int8_t* pb,
+    std::size_t kq, std::int32_t* c, std::size_t ldc, std::int64_t* csum) {
   __m512i acc[kMr512][2];
   for (std::size_t r = 0; r < kMr512; ++r) {
     acc[r][0] = _mm512_setzero_si512();
     acc[r][1] = _mm512_setzero_si512();
   }
-  for (std::size_t kp = 0; kp < kpairs; ++kp) {
-    const __m512i b0 = _mm512_loadu_si512(pb + kp * 2 * kNr512);
-    const __m512i b1 = _mm512_loadu_si512(pb + kp * 2 * kNr512 + 32);
+  for (std::size_t q = 0; q < kq; ++q) {
+    const __m512i b0 = _mm512_load_si512(pb + q * kQuadRowBytes);
+    const __m512i b1 = _mm512_load_si512(pb + q * kQuadRowBytes + 64);
 #pragma GCC unroll 8
     for (std::size_t r = 0; r < kMr512; ++r) {
-      const __m512i av = _mm512_set1_epi32(a_pair(a16 + r * lda + 2 * kp));
-      acc[r][0] = _mm512_add_epi32(acc[r][0], _mm512_madd_epi16(av, b0));
-      acc[r][1] = _mm512_add_epi32(acc[r][1], _mm512_madd_epi16(av, b1));
+      const __m512i av = _mm512_set1_epi32(a_word(a8 + r * lda + 4 * q));
+      acc[r][0] = dpbusd(acc[r][0], b0, av);
+      acc[r][1] = dpbusd(acc[r][1], b1, av);
     }
   }
   for (std::size_t r = 0; r < kMr512; ++r) {
+    const __m512i bias = _mm512_set1_epi32(row_bias[r]);
+    acc[r][0] = _mm512_sub_epi32(acc[r][0], bias);
+    acc[r][1] = _mm512_sub_epi32(acc[r][1], bias);
     _mm512_storeu_si512(c + r * ldc, acc[r][0]);
     _mm512_storeu_si512(c + r * ldc + 16, acc[r][1]);
   }
@@ -291,27 +390,29 @@ __attribute__((target("avx512f,avx512bw"))) void kern_avx512_full(
   }
 }
 
-__attribute__((target("avx512f,avx512bw"))) void kern_avx512_edge(
-    const std::int16_t* a16, std::size_t lda, const std::int16_t* pb, std::size_t kpairs,
-    std::int32_t* c, std::size_t ldc, std::size_t mr, std::size_t jw, std::int64_t* csum) {
+__attribute__((target("avx512f,avx512bw,avx512vnni"))) void kern_vnni_edge(
+    const std::int8_t* a8, std::size_t lda, const std::int32_t* row_bias, const std::int8_t* pb,
+    std::size_t kq, std::int32_t* c, std::size_t ldc, std::size_t mr, std::size_t jw,
+    std::int64_t* csum) {
   __m512i acc[kMr512][2];
   for (std::size_t r = 0; r < mr; ++r) {
     acc[r][0] = _mm512_setzero_si512();
     acc[r][1] = _mm512_setzero_si512();
   }
-  for (std::size_t kp = 0; kp < kpairs; ++kp) {
-    const __m512i b0 = _mm512_loadu_si512(pb + kp * 2 * kNr512);
-    const __m512i b1 = _mm512_loadu_si512(pb + kp * 2 * kNr512 + 32);
+  for (std::size_t q = 0; q < kq; ++q) {
+    const __m512i b0 = _mm512_load_si512(pb + q * kQuadRowBytes);
+    const __m512i b1 = _mm512_load_si512(pb + q * kQuadRowBytes + 64);
     for (std::size_t r = 0; r < mr; ++r) {
-      const __m512i av = _mm512_set1_epi32(a_pair(a16 + r * lda + 2 * kp));
-      acc[r][0] = _mm512_add_epi32(acc[r][0], _mm512_madd_epi16(av, b0));
-      acc[r][1] = _mm512_add_epi32(acc[r][1], _mm512_madd_epi16(av, b1));
+      const __m512i av = _mm512_set1_epi32(a_word(a8 + r * lda + 4 * q));
+      acc[r][0] = dpbusd(acc[r][0], b0, av);
+      acc[r][1] = dpbusd(acc[r][1], b1, av);
     }
   }
   alignas(64) std::int32_t tmp[kNr512];
   for (std::size_t r = 0; r < mr; ++r) {
-    _mm512_store_si512(tmp, acc[r][0]);
-    _mm512_store_si512(tmp + 16, acc[r][1]);
+    const __m512i bias = _mm512_set1_epi32(row_bias[r]);
+    _mm512_store_si512(tmp, _mm512_sub_epi32(acc[r][0], bias));
+    _mm512_store_si512(tmp + 16, _mm512_sub_epi32(acc[r][1], bias));
     std::memcpy(c + r * ldc, tmp, jw * sizeof(std::int32_t));
     if (csum) {
       for (std::size_t j = 0; j < jw; ++j) csum[j] += tmp[j];
@@ -319,32 +420,31 @@ __attribute__((target("avx512f,avx512bw"))) void kern_avx512_edge(
   }
 }
 
-__attribute__((target("avx512f,avx512bw"))) void avx512_rows(const std::int8_t* a,
-                                                             const std::int16_t* pb,
-                                                             std::int32_t* c, std::size_t k,
-                                                             std::size_t n, std::size_t i0,
-                                                             std::size_t i1,
-                                                             std::int64_t* csum) {
-  const std::size_t kpairs = (k + 1) / 2;
-  const std::size_t kpad = 2 * kpairs;
+__attribute__((target("avx512f,avx512bw,avx512vnni"))) void vnni_rows(
+    const std::int8_t* a, const std::int8_t* pb, std::int32_t* c, std::size_t k, std::size_t n,
+    std::size_t i0, std::size_t i1, std::int64_t* csum) {
+  const std::size_t kq = (k + 3) / 4;
+  const std::size_t kpad = 4 * kq;
   const std::size_t panels = (n + kNr512 - 1) / kNr512;
-  std::vector<std::int16_t> a16(std::min(kRowBlock, i1 - i0) * kpad);
+  std::vector<std::int8_t> a8(std::min(kRowBlock, i1 - i0) * kpad);
+  std::int32_t row_bias[kRowBlock];
   for (std::size_t ib = i0; ib < i1; ib += kRowBlock) {
     const std::size_t ie = std::min(i1, ib + kRowBlock);
-    pack_a_i16(a, k, kpad, ib, ie, a16.data());
+    pack_a_quads(a, k, kpad, ib, ie, a8.data(), row_bias);
     for (std::size_t p = 0; p < panels; ++p) {
       const std::size_t j0 = p * kNr512;
       const std::size_t jw = std::min(kNr512, n - j0);
-      const std::int16_t* pbp = pb + p * kpairs * 2 * kNr512;
+      const std::int8_t* pbp = pb + p * kq * kQuadRowBytes;
       for (std::size_t i = ib; i < ie; i += kMr512) {
         const std::size_t mr = std::min(kMr512, ie - i);
-        const std::int16_t* arows = a16.data() + (i - ib) * kpad;
+        const std::int8_t* arows = a8.data() + (i - ib) * kpad;
+        const std::int32_t* rb = row_bias + (i - ib);
         std::int32_t* crows = c + i * n + j0;
         std::int64_t* cs = csum ? csum + j0 : nullptr;
         if (mr == kMr512 && jw == kNr512) {
-          kern_avx512_full(arows, kpad, pbp, kpairs, crows, n, cs);
+          kern_vnni_full(arows, kpad, rb, pbp, kq, crows, n, cs);
         } else {
-          kern_avx512_edge(arows, kpad, pbp, kpairs, crows, n, mr, jw, cs);
+          kern_vnni_edge(arows, kpad, rb, pbp, kq, crows, n, mr, jw, cs);
         }
       }
     }
@@ -363,7 +463,8 @@ Tier detect_best() noexcept {
 #if REALM_X86
   // __builtin_cpu_supports consults libgcc's CPUID+XGETBV probe, so OS
   // state-save support for ymm/zmm is already folded in.
-  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw")) {
+  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
+      __builtin_cpu_supports("avx512vnni")) {
     return Tier::kAvx512;
   }
   if (__builtin_cpu_supports("avx2")) return Tier::kAvx2;
@@ -438,12 +539,12 @@ void shard_rows_fused(std::size_t m, std::size_t n, const std::int32_t* c, std::
 
 #if REALM_X86
 /// Row-shard the macro-loop over already-packed panels.
-void run_simd_rows(Tier t, const std::int8_t* a, const std::int16_t* pb, std::int32_t* c,
+void run_simd_rows(Tier t, const std::int8_t* a, const std::int8_t* pb, std::int32_t* c,
                    std::size_t m, std::size_t k, std::size_t n, std::int64_t* csum,
                    std::int64_t* wcsum) {
   shard_rows_fused(m, n, c, csum, wcsum, [&](std::size_t i0, std::size_t i1, std::int64_t* cs) {
     if (t == Tier::kAvx512) {
-      avx512_rows(a, pb, c, k, n, i0, i1, cs);
+      vnni_rows(a, pb, c, k, n, i0, i1, cs);
     } else {
       avx2_rows(a, pb, c, k, n, i0, i1, cs);
     }
@@ -490,11 +591,8 @@ void gemm_i8(const std::int8_t* a, const std::int8_t* b, std::int32_t* c, std::s
   const Tier t = active_tier();
   if (t != Tier::kPortable) {
     // Pack B once (serial, O(k*n)), then row-shard the macro-loop.
-    const std::size_t nr = nr_for(t);
-    const std::size_t kpairs = (k + 1) / 2;
-    const std::size_t panels = (n + nr - 1) / nr;
-    std::vector<std::int16_t> pb(panels * kpairs * 2 * nr);
-    pack_b_panels(b, k, n, nr, pb.data());
+    PanelBytes pb(panel_bytes(t, k, n));
+    pack_panels(t, b, k, n, pb.data());
     run_simd_rows(t, a, pb.data(), c, m, k, n, col_sums, wcol_sums);
     return;
   }
@@ -512,11 +610,8 @@ PackedB pack_b(const std::int8_t* b, std::size_t k, std::size_t n) {
   p.n_ = n;
 #if REALM_X86
   if (p.tier_ != Tier::kPortable && k > 0 && n > 0) {
-    const std::size_t nr = nr_for(p.tier_);
-    const std::size_t kpairs = (k + 1) / 2;
-    const std::size_t panels = (n + nr - 1) / nr;
-    p.panels_.resize(panels * kpairs * 2 * nr);
-    pack_b_panels(b, k, n, nr, p.panels_.data());
+    p.panels_.resize(panel_bytes(p.tier_, k, n));
+    pack_panels(p.tier_, b, k, n, p.panels_.data());
   }
 #else
   (void)b;

@@ -3,18 +3,34 @@
 // Three implementations of the same bit-exact contract, best one picked per
 // process by probing CPUID at first use (overridable for tests and A/B runs):
 //
-//  * kAvx512 — 512-bit madd_epi16 microkernel (8 rows x 32 cols of int32
-//    accumulators), for CPUs with AVX-512F + AVX-512BW.
-//  * kAvx2   — 256-bit madd_epi16 microkernel (4 rows x 16 cols).
+//  * kAvx512 — 512-bit vpdpbusd (AVX-512 VNNI) microkernel, 8 rows x 32 cols
+//    of int32 accumulators, for CPUs with AVX-512F + AVX-512BW + AVX-512VNNI.
+//    One vpdpbusd retires 64 multiply-accumulates.
+//  * kAvx2   — 256-bit vpmaddwd microkernel (4 rows x 16 cols), for every
+//    other AVX2 CPU (an AVX-512 CPU without VNNI runs this tier).
 //  * kPortable — the blocked scalar i-k-j loop (autovectorizable), always
 //    available; the reference the SIMD tiers are cross-checked against.
 //
-// The SIMD tiers share one data layout: B is packed once per call into
-// column panels of kNr int16 pairs — pair (b[2kp][j], b[2kp+1][j]) sits
-// contiguously so a vpmaddwd against a broadcast A pair (a[i][2kp], a[i][2kp+1])
-// accumulates two k-steps per instruction, int8 -> int16 -> int32 with no
-// saturation anywhere: |a*b| <= 2^14, a pair sums to <= 2^15, and k <= 2^16
-// keeps the int32 accumulator within 2^30 (see tensor::kMaxK).
+// Each SIMD tier packs B into column panels of its microkernel width NR, held
+// as bytes (PackedB::raw_panels) in one of two layouts:
+//
+//  * kAvx512, int8 quads, biased: panel[p][q][4j+t] = b(4q+t, 32p+j) ^ 0x80,
+//    i.e. W+128 as u8, with W = 0 past the k or n edge. vpdpbusd multiplies
+//    a panel row (u8) by a broadcast A quad (a[i][4q..4q+3], s8, taken from
+//    a zero-padded copy of the row block) and adds four k-steps into each
+//    int32 lane. The pass that copies A also computes 128·Σ_k a[i][k], which
+//    the kernel subtracts from the register tile before the store and the
+//    fused folds below: Σ a·(w+128) − 128·Σ a = Σ a·w exactly.
+//  * kAvx2, int16 pairs: panel[p][kp][2j+t] = b(2kp+t, 16p+j) sign-extended
+//    to int16 (0 past the edge), one vpmaddwd against a broadcast int16 A
+//    pair per two k-steps. These panels are read only through unaligned
+//    vector loads.
+//
+// Overflow. Neither tier saturates or wraps anywhere for k <= 2^16 (see
+// tensor::kMaxK): the vpmaddwd path has |a*b| <= 2^14, a pair sums to <=
+// 2^15, and the int32 accumulator stays within 2^30. The vpdpbusd path has
+// |Σ (w+128)·a| <= 255·128·2^16 < 2^31 and |128·Σ a| <= 2^30, and the
+// corrected result is the true product, again within 2^30.
 //
 // Every tier produces bit-identical results to every other tier and at every
 // thread count: integer addition is associative, each output element's
@@ -43,6 +59,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <new>
 #include <span>
 #include <vector>
 
@@ -78,6 +95,27 @@ void gemm_i8(const std::int8_t* a, const std::int8_t* b, std::int32_t* c, std::s
              std::size_t k, std::size_t n, std::int64_t* col_sums = nullptr,
              std::int64_t* wcol_sums = nullptr);
 
+/// Cache-line-aligned allocator for panel bytes, so no 64-byte panel load
+/// splits a cache line.
+template <typename T>
+struct LineAlignedAllocator {
+  using value_type = T;
+  LineAlignedAllocator() = default;
+  template <typename U>
+  explicit LineAlignedAllocator(const LineAlignedAllocator<U>& /*other*/) noexcept {}
+  T* allocate(std::size_t count) {
+    return static_cast<T*>(::operator new(count * sizeof(T), std::align_val_t{64}));
+  }
+  void deallocate(T* p, std::size_t /*count*/) noexcept {
+    ::operator delete(p, std::align_val_t{64});
+  }
+  friend bool operator==(const LineAlignedAllocator&, const LineAlignedAllocator&) noexcept {
+    return true;
+  }
+};
+
+using PanelBytes = std::vector<std::int8_t, LineAlignedAllocator<std::int8_t>>;
+
 /// Pre-packed SIMD panels of a stationary B operand (the accelerator's
 /// weight-resident model: pay the O(k*n) pack once per weight tile, not once
 /// per GEMM). Opaque; tied to the tier it was packed for — a tier or shape
@@ -98,16 +136,16 @@ class PackedB {
     return !panels_.empty() && tier_ == t && k_ == k && n_ == n;
   }
 
-  /// Raw panel words, for the memory-hierarchy fault model (at-rest panel
+  /// Raw panel bytes, for the memory-hierarchy fault model (at-rest panel
   /// corruption) and the repack-compare scrub. Empty on the portable tier,
   /// which consumes B directly.
-  [[nodiscard]] std::span<const std::int16_t> raw_panels() const noexcept { return panels_; }
+  [[nodiscard]] std::span<const std::int8_t> raw_panels() const noexcept { return panels_; }
 
   /// Mutable view for fault injection ONLY. Writing through this view on a
   /// PackedB that concurrent GEMMs read violates the immutability contract
   /// above — callers must hold an exclusively-owned copy (ProtectedGemm::
   /// corrupt_panels mutates its own member before the tile is shared).
-  [[nodiscard]] std::span<std::int16_t> mutable_panels() noexcept { return panels_; }
+  [[nodiscard]] std::span<std::int8_t> mutable_panels() noexcept { return panels_; }
 
  private:
   friend PackedB pack_b(const std::int8_t* b, std::size_t k, std::size_t n);
@@ -118,7 +156,7 @@ class PackedB {
   Tier tier_ = Tier::kPortable;
   std::size_t k_ = 0;
   std::size_t n_ = 0;
-  std::vector<std::int16_t> panels_;
+  PanelBytes panels_;
 };
 
 /// Pack b[k x n] (row-major) for the active tier.

@@ -152,9 +152,9 @@ REALM_TEST(memory_model_ber_zero_injects_nothing) {
   REALM_CHECK(record.empty());  // cleared, not appended to, by a no-op pass
   for (const auto v : bytes) REALM_CHECK_EQ(v, std::int8_t{3});
   REALM_CHECK(!model.enabled(Component::kWeights));
-  std::vector<std::int16_t> words(64, -7);
-  REALM_CHECK_EQ(model.corrupt16(Component::kPackedPanels, 9, words), std::uint64_t{0});
-  for (const auto v : words) REALM_CHECK_EQ(v, std::int16_t{-7});
+  std::vector<std::int8_t> panel(128, -7);
+  REALM_CHECK_EQ(model.corrupt(Component::kPackedPanels, 9, panel), std::uint64_t{0});
+  for (const auto v : panel) REALM_CHECK_EQ(v, std::int8_t{-7});
 
   // Parameter validation mirrors the injectors'.
   MemoryFaultConfig bad = cfg;
@@ -192,12 +192,12 @@ REALM_TEST(memory_model_ber_one_flips_every_eligible_bit) {
                    static_cast<std::uint8_t>(static_cast<std::uint8_t>(orig[i]) ^ 0x3Cu));
   }
 
-  // INT16 words: the lane window applies to BOTH bytes, so [0,7] at BER=1
-  // inverts the whole word.
-  std::vector<std::int16_t> words(32, 0x1234);
-  REALM_CHECK_EQ(model.corrupt16(Component::kPackedPanels, 3, words), std::uint64_t{32 * 16});
-  for (const auto v : words) {
-    REALM_CHECK_EQ(static_cast<std::uint16_t>(v), static_cast<std::uint16_t>(0x1234u ^ 0xFFFFu));
+  // Panel bytes: the full [0,7] window at BER=1 inverts every byte.
+  std::vector<std::int8_t> panel(64);
+  for (std::size_t i = 0; i < panel.size(); ++i) panel[i] = (i % 2 == 0) ? 0x34 : 0x12;
+  REALM_CHECK_EQ(model.corrupt(Component::kPackedPanels, 3, panel), std::uint64_t{64 * 8});
+  for (std::size_t i = 0; i < panel.size(); ++i) {
+    REALM_CHECK_EQ(static_cast<std::uint8_t>(panel[i]), (i % 2 == 0) ? 0xCBu : 0xEDu);
   }
 
   // Two retention epochs at BER=1: every bit re-upsets and cancels — the
@@ -235,18 +235,18 @@ REALM_TEST(component_flip_records_reverse_replay) {
   }
   REALM_CHECK(bytes == orig);  // reverse replay reconstructs the clean image
 
-  std::vector<std::int16_t> words(1024);
-  for (auto& v : words) v = static_cast<std::int16_t>(init.uniform_int(-30000, 30000));
-  const std::vector<std::int16_t> worig = words;
-  const std::uint64_t wflips = model.corrupt16(Component::kPackedPanels, 4, words, &record);
-  REALM_CHECK(wflips > 0);
-  REALM_CHECK_EQ(record.size(), wflips);
+  std::vector<std::int8_t> panel(2048);
+  for (auto& v : panel) v = static_cast<std::int8_t>(init.uniform_int(-128, 127));
+  const std::vector<std::int8_t> porig = panel;
+  const std::uint64_t pflips = model.corrupt(Component::kPackedPanels, 4, panel, &record);
+  REALM_CHECK(pflips > 0);
+  REALM_CHECK_EQ(record.size(), pflips);
   for (const FlipRecord& f : record) REALM_CHECK(f.component == Component::kPackedPanels);
   for (auto it = record.rbegin(); it != record.rend(); ++it) {
-    REALM_CHECK_EQ(words[it->index], static_cast<std::int16_t>(it->after));
-    words[it->index] = static_cast<std::int16_t>(it->before);
+    REALM_CHECK_EQ(panel[it->index], static_cast<std::int8_t>(it->after));
+    panel[it->index] = static_cast<std::int8_t>(it->before);
   }
-  REALM_CHECK(words == worig);
+  REALM_CHECK(panel == porig);
 
   // Recording must not consume extra randomness.
   std::vector<std::int8_t> a = orig, b = orig;

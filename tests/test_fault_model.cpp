@@ -103,7 +103,7 @@ REALM_TEST(fuzz_certified_or_recompute_invariant) {
     // At-rest panel strike: the repack-compare leg is exact at every width,
     // so ANY net panel corruption must fail the scrub. (Vacuous on the
     // portable tier, which holds no panels.)
-    const std::vector<std::int16_t> clean_panels(pg.weight_panels().raw_panels().begin(),
+    const std::vector<std::int8_t> clean_panels(pg.weight_panels().raw_panels().begin(),
                                                  pg.weight_panels().raw_panels().end());
     (void)pg.corrupt_panels(model, trial);
     const auto aged = pg.weight_panels().raw_panels();

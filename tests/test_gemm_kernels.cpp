@@ -1,7 +1,9 @@
 #include "tensor/gemm_kernels.h"
 
 #include <cstdint>
+#include <cstdio>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "realm_test.h"
@@ -26,6 +28,17 @@ std::vector<Tier> supported_tiers() {
   if (kernels::best_supported_tier() >= Tier::kAvx2) tiers.push_back(Tier::kAvx2);
   if (kernels::best_supported_tier() >= Tier::kAvx512) tiers.push_back(Tier::kAvx512);
   return tiers;
+}
+
+/// Weighted column sums uᵀC (u = [1,2,3,…]) read back from C.
+std::vector<std::int64_t> weighted_col_sums(const MatI32& c) {
+  std::vector<std::int64_t> w(c.cols(), 0);
+  for (std::size_t i = 0; i < c.rows(); ++i) {
+    for (std::size_t j = 0; j < c.cols(); ++j) {
+      w[j] += static_cast<std::int64_t>(i + 1) * static_cast<std::int64_t>(c(i, j));
+    }
+  }
+  return w;
 }
 
 MatI8 random_i8_full_range(std::size_t rows, std::size_t cols, realm::util::Rng& rng) {
@@ -57,11 +70,13 @@ REALM_TEST(all_tiers_match_reference_on_randomized_shapes) {
   realm::util::Rng rng(101);
   TierGuard guard;
   // Shapes straddling every blocking boundary: microkernel tiles (4/8 rows,
-  // 16/32 cols), the 64-row A block, odd k (the int16 pair padding path),
-  // k = 1, and single-row/column edges.
-  const std::size_t shapes[][3] = {{1, 1, 1},   {3, 5, 7},    {8, 64, 32},  {9, 65, 33},
-                                   {17, 2, 50}, {33, 127, 1}, {5, 1, 100},  {64, 128, 96},
-                                   {66, 130, 97}, {12, 31, 48}, {100, 7, 19}};
+  // 16/32 cols), the 64-row A block, k mod 4 in {1, 2, 3} (the int16 pair and
+  // int8 quad padding paths) under full tiles as well as edges, k = 1, and
+  // single-row/column edges.
+  const std::size_t shapes[][3] = {{1, 1, 1},    {3, 5, 7},     {8, 64, 32},   {9, 65, 33},
+                                   {17, 2, 50},  {33, 127, 1},  {5, 1, 100},   {64, 128, 96},
+                                   {66, 130, 97}, {12, 31, 48}, {100, 7, 19},  {17, 99, 65},
+                                   {8, 35, 32},  {71, 66, 95}};
   for (const auto& s : shapes) {
     const MatI8 a = random_i8_full_range(s[0], s[1], rng);
     const MatI8 b = random_i8_full_range(s[1], s[2], rng);
@@ -74,20 +89,36 @@ REALM_TEST(all_tiers_match_reference_on_randomized_shapes) {
 }
 
 REALM_TEST(tiers_agree_at_k_bound_with_minus128) {
-  // Worst-case accumulation: all operands -128, k = kMaxK. Every element is
-  // exactly 2^14 * 2^16 = 2^30 — the documented int32 ceiling. The int16-pair
-  // SIMD path must neither saturate nor wrap anywhere on the way there, and
-  // an odd k one below the bound exercises the padded tail at full magnitude.
+  // Worst-case accumulation at k = kMaxK, on every tier, with the fused eᵀC
+  // and uᵀC folds. Every element of C is a·b·k for the constant operands:
+  //  * all -128 x all -128: exactly 2^30, the documented int32 ceiling of
+  //    the int16-pair path;
+  //  * all -128 x all +127: the vpdpbusd path's biased accumulator
+  //    Σ a·(b+128) = -128·255·k sits nearest INT32_MIN before the row term
+  //    128·Σ a = -2^30 comes off;
+  //  * all +127 x all +127: the same accumulator at its positive extreme.
+  // An odd k one below the bound exercises the padded tail at full
+  // magnitude; 9 x 33 runs full microkernel tiles next to row and column
+  // edges on both SIMD tiers.
   TierGuard guard;
+  const std::int8_t pairs[][2] = {{-128, -128}, {-128, 127}, {127, 127}};
+  const std::size_t m = 9, n = 33;
   for (const std::size_t k : {kMaxK, kMaxK - 1}) {
-    const MatI8 a(2, k, std::int8_t{-128});
-    const MatI8 b(k, 3, std::int8_t{-128});
-    const std::int32_t want = static_cast<std::int32_t>(std::int64_t{16384} * k);
-    for (const Tier t : supported_tiers()) {
-      kernels::set_active_tier(t);
-      const MatI32 c = gemm_i8(a, b);
-      for (std::size_t i = 0; i < c.rows(); ++i) {
-        for (std::size_t j = 0; j < c.cols(); ++j) REALM_CHECK_EQ(c(i, j), want);
+    for (const auto& ab : pairs) {
+      const MatI8 a(m, k, ab[0]);
+      const MatI8 b(k, n, ab[1]);
+      const std::int64_t want = std::int64_t{ab[0]} * ab[1] * static_cast<std::int64_t>(k);
+      const std::vector<std::int64_t> want_col(n, want * static_cast<std::int64_t>(m));
+      const std::vector<std::int64_t> want_wcol(n, want * static_cast<std::int64_t>(m * (m + 1) / 2));
+      for (const Tier t : supported_tiers()) {
+        kernels::set_active_tier(t);
+        MatI32 c;
+        std::vector<std::int64_t> col, wcol;
+        gemm_i8_prepacked(a, b, kernels::pack_b(b.data(), k, n), c, &col, &wcol);
+        REALM_CHECK(c == MatI32(m, n, static_cast<std::int32_t>(want)));
+        REALM_CHECK(col == want_col);
+        REALM_CHECK(wcol == want_wcol);
+        REALM_CHECK(wcol == weighted_col_sums(c));
       }
     }
   }
@@ -183,6 +214,11 @@ REALM_TEST(tier_dispatch_and_override) {
   REALM_CHECK(std::string(kernels::to_string(Tier::kPortable)) == "portable");
   REALM_CHECK(std::string(kernels::to_string(Tier::kAvx2)) == "avx2");
   REALM_CHECK(std::string(kernels::to_string(Tier::kAvx512)) == "avx512");
+  // Say which tiers this binary cross-checked: a CPU without AVX-512 VNNI
+  // never runs the avx512 tier, and that should be visible in a CI log.
+  std::printf("tiers exercised:");
+  for (const Tier t : supported_tiers()) std::printf(" %s", kernels::to_string(t));
+  std::printf(" (best supported: %s)\n", kernels::to_string(best));
 }
 
 REALM_TEST_MAIN()

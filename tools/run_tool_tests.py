@@ -6,7 +6,8 @@ every checker gets both directions pinned against committed fixtures:
 
   * bench/compare_baseline.py over tests/tooldata/bench_*.json — passes a
     clean run, trips on a raw_gops regression, a detect_ms regression, a
-    missing shape, and a multi-threaded record; the serve-async fault-load
+    missing shape, a multi-threaded record, and a record from a kernel tier
+    other than the baseline's; the serve-async fault-load
     dispatch passes a clean record and trips on a patched-path p99
     regression and on a patch rate under the floor; the clean records carry
     provenance keys (git_sha, trace, ...) the gate does not know, pinning
@@ -86,6 +87,9 @@ def main():
     expect("compare_baseline rejects multi-threaded records",
            [compare, tooldata / "bench_current_multithread.json", base], want_zero=False,
            want_in_output="single-thread")
+    expect("compare_baseline rejects a record from another kernel tier",
+           [compare, tooldata / "bench_current_tier_mismatch.json", base], want_zero=False,
+           want_in_output="kernel tier mismatch")
     expect("compare_baseline passes a clean serve fault-load run",
            [compare, tooldata / "bench_serve_fault_ok.json", base], want_zero=True,
            want_in_output="serve fault-load gate passed")
