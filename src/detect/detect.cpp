@@ -126,14 +126,7 @@ bool ProtectedGemm::verify_weight_integrity() const {
   // resident panels target the active tier/shape (otherwise every GEMM
   // repacks fresh and stale panels are never consumed).
   if (w_packed_.valid_for(tensor::kernels::active_tier(), w8_.rows(), w8_.cols())) {
-    const tensor::kernels::PackedB repacked =
-        tensor::kernels::pack_b(w8_.data(), w8_.rows(), w8_.cols());
-    const std::span<const std::int8_t> fresh = repacked.raw_panels();
-    const std::span<const std::int8_t> resident = w_packed_.raw_panels();
-    if (fresh.size() != resident.size() ||
-        !std::equal(fresh.begin(), fresh.end(), resident.begin())) {
-      return false;
-    }
+    return tensor::kernels::panels_match(w8_.data(), w8_.rows(), w8_.cols(), w_packed_);
   }
   return true;
 }

@@ -254,8 +254,9 @@ class ProtectedGemm {
 
   /// Scrub the stationary weight tile against its resident bases: recompute
   /// eᵀW and W·e from w8_ and compare with the values captured at
-  /// set_weights; then repack the panels from w8_ and byte-compare against
-  /// the resident panels (the kPackedPanels leg — exact, so ANY panel
+  /// set_weights; then repack the panels from w8_ a slice at a time and
+  /// byte-compare against the resident panels (kernels::panels_match, the
+  /// kPackedPanels leg — exact, so ANY panel
   /// corruption is caught; skipped when the resident panels were packed for
   /// a different tier/shape and would be repacked at use anyway). The sum
   /// legs are exact int64 identities: any SINGLE net weight fault is caught

@@ -30,6 +30,11 @@ constexpr std::size_t kRowGrain = 32;
 /// exact safe bound: 256·(−128) = −32768 = INT16_MIN and 256·127 = 32512.
 constexpr std::size_t kI16Block = 256;
 
+/// Columns folded into int32 lanes by the weighted_row_sums_i8 kernels before
+/// a flush to int64: a 64-column block adds at most 2·(63+64)·128 = 32512 to
+/// a lane, so 4096 blocks stay far inside int32.
+constexpr std::size_t kWeightedFlushCols = std::size_t{64} << 12;
+
 /// The predict_row kernels do their multiplies as 32×32→64 (vpmuldq), so the
 /// int64 basis entry must fit int32. Checksum bases are bounded by 128·cols,
 /// which only exceeds this for matrices over 2^24 columns; such calls (and any
@@ -67,10 +72,11 @@ void row_sums_portable(const T* m, std::size_t cols, std::size_t r0, std::size_t
   }
 }
 
-// Weighted-basis reductions (uᵀM and M·v with weights [1,2,3,…]). Correction
-// path only — runs on detected tiles, never in the clean hot loop — so
-// portable scalar bodies behind the standard sharding are plenty; exact int64
-// keeps them bit-identical at every tier and thread count.
+// Weighted-basis reductions (uᵀM and M·v with weights [1,2,3,…]). The i32
+// forms run on detected tiles only, so portable scalar bodies behind the
+// standard sharding are plenty; exact int64 keeps them bit-identical at every
+// tier and thread count. These are also the reference the SIMD
+// weighted_row_sums_i8 kernels (every weight install) are checked against.
 
 template <typename T>
 void weighted_col_sums_portable(const T* m, std::size_t rows, std::size_t cols, std::size_t j0,
@@ -215,6 +221,51 @@ __attribute__((target("avx2"))) void row_sums_i8_avx2(const std::int8_t* m, std:
   }
 }
 
+/// M·v for v = [1,2,3,…] in 32-column blocks. Column j0 + l weighs
+/// j0 + (l+1): vpmaddubsw against the in-block ramp 1..32 (u8) gives the
+/// (l+1) term, and the block's biased byte sum (vpsadbw, +128 per byte)
+/// times j0 gives the j0 term plus 128·32·j0, taken off once per row. Exact
+/// for cols < 2^32 (vpmuludq reads j0's low 32 bits).
+__attribute__((target("avx2"))) void weighted_row_sums_i8_avx2(const std::int8_t* m,
+                                                               std::size_t cols,
+                                                               std::size_t r0, std::size_t r1,
+                                                               std::int64_t* out) {
+  alignas(32) std::uint8_t ramp[32];
+  for (std::size_t l = 0; l < 32; ++l) ramp[l] = static_cast<std::uint8_t>(l + 1);
+  const __m256i lw = _mm256_load_si256(reinterpret_cast<const __m256i*>(ramp));
+  const __m256i ones = _mm256_set1_epi16(1);
+  const __m256i bias = _mm256_set1_epi8(static_cast<char>(0x80));
+  const __m256i zero = _mm256_setzero_si256();
+  const std::size_t full = cols / 32 * 32;
+  const auto blocks = static_cast<std::int64_t>(full / 32);
+  for (std::size_t r = r0; r < r1; ++r) {
+    const std::int8_t* row = m + r * cols;
+    __m256i local = zero;   // 4 int64 lanes of the (l+1) terms
+    __m256i offset = zero;  // 4 int64 lanes of j0 · biased block sums
+    for (std::size_t j = 0; j < full;) {
+      const std::size_t je = std::min(full, j + kWeightedFlushCols);
+      __m256i local32 = zero;
+      for (; j < je; j += 32) {
+        const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + j));
+        local32 = _mm256_add_epi32(local32, _mm256_madd_epi16(_mm256_maddubs_epi16(lw, v), ones));
+        const __m256i sad = _mm256_sad_epu8(_mm256_xor_si256(v, bias), zero);
+        offset = _mm256_add_epi64(
+            offset, _mm256_mul_epu32(sad, _mm256_set1_epi64x(static_cast<std::int64_t>(j))));
+      }
+      local = _mm256_add_epi64(local, _mm256_cvtepi32_epi64(_mm256_castsi256_si128(local32)));
+      local = _mm256_add_epi64(local,
+                               _mm256_cvtepi32_epi64(_mm256_extracti128_si256(local32, 1)));
+    }
+    // Σ_b 128·32·j0 with j0 = 32b: 128·32·32·blocks·(blocks−1)/2.
+    std::int64_t sum = hsum_i64_avx2(_mm256_add_epi64(local, offset)) -
+                       std::int64_t{65536} * blocks * (blocks - 1);
+    for (std::size_t j = full; j < cols; ++j) {
+      sum += static_cast<std::int64_t>(j + 1) * static_cast<std::int64_t>(row[j]);
+    }
+    out[r] = sum;
+  }
+}
+
 __attribute__((target("avx2"))) void row_sums_i32_avx2(const std::int32_t* m, std::size_t cols,
                                                        std::size_t r0, std::size_t r1,
                                                        std::int64_t* out) {
@@ -327,6 +378,45 @@ __attribute__((target("avx512f,avx512bw"))) void row_sums_i8_avx512(const std::i
     }
     std::int64_t sum = _mm512_reduce_add_epi64(acc) - 128 * static_cast<std::int64_t>(j);
     for (; j < cols; ++j) sum += row[j];
+    out[r] = sum;
+  }
+}
+
+/// weighted_row_sums_i8_avx2 at 64-column blocks.
+__attribute__((target("avx512f,avx512bw"))) void weighted_row_sums_i8_avx512(
+    const std::int8_t* m, std::size_t cols, std::size_t r0, std::size_t r1, std::int64_t* out) {
+  alignas(64) std::uint8_t ramp[64];
+  for (std::size_t l = 0; l < 64; ++l) ramp[l] = static_cast<std::uint8_t>(l + 1);
+  const __m512i lw = _mm512_load_si512(ramp);
+  const __m512i ones = _mm512_set1_epi16(1);
+  const __m512i bias = _mm512_set1_epi8(static_cast<char>(0x80));
+  const __m512i zero = _mm512_setzero_si512();
+  const std::size_t full = cols / 64 * 64;
+  const auto blocks = static_cast<std::int64_t>(full / 64);
+  for (std::size_t r = r0; r < r1; ++r) {
+    const std::int8_t* row = m + r * cols;
+    __m512i local = zero;   // 8 int64 lanes of the (l+1) terms
+    __m512i offset = zero;  // 8 int64 lanes of j0 · biased block sums
+    for (std::size_t j = 0; j < full;) {
+      const std::size_t je = std::min(full, j + kWeightedFlushCols);
+      __m512i local32 = zero;
+      for (; j < je; j += 64) {
+        const __m512i v = _mm512_loadu_si512(row + j);
+        local32 = _mm512_add_epi32(local32, _mm512_madd_epi16(_mm512_maddubs_epi16(lw, v), ones));
+        const __m512i sad = _mm512_sad_epu8(_mm512_xor_si512(v, bias), zero);
+        offset = _mm512_add_epi64(
+            offset, _mm512_mul_epu32(sad, _mm512_set1_epi64(static_cast<std::int64_t>(j))));
+      }
+      local = _mm512_add_epi64(local, _mm512_cvtepi32_epi64(_mm512_castsi512_si256(local32)));
+      local = _mm512_add_epi64(local,
+                               _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64(local32, 1)));
+    }
+    // Σ_b 128·64·j0 with j0 = 64b: 128·64·64·blocks·(blocks−1)/2.
+    std::int64_t sum = _mm512_reduce_add_epi64(_mm512_add_epi64(local, offset)) -
+                       std::int64_t{262144} * blocks * (blocks - 1);
+    for (std::size_t j = full; j < cols; ++j) {
+      sum += static_cast<std::int64_t>(j + 1) * static_cast<std::int64_t>(row[j]);
+    }
     out[r] = sum;
   }
 }
@@ -478,7 +568,21 @@ void weighted_col_sums_i32(const std::int32_t* m, std::size_t rows, std::size_t 
 void weighted_row_sums_i8(const std::int8_t* m, std::size_t rows, std::size_t cols,
                           std::int64_t* out) {
   if (rows == 0) return;
+  // The SIMD kernels multiply block offsets as 32-bit values.
+  const Tier t = cols <= UINT32_MAX ? active_tier() : Tier::kPortable;
   util::global_pool().parallel_for(rows, kRowGrain, [&](std::size_t r0, std::size_t r1) {
+#if REALM_X86
+    if (t == Tier::kAvx512) {
+      weighted_row_sums_i8_avx512(m, cols, r0, r1, out);
+      return;
+    }
+    if (t == Tier::kAvx2) {
+      weighted_row_sums_i8_avx2(m, cols, r0, r1, out);
+      return;
+    }
+#else
+    (void)t;
+#endif
     weighted_row_sums_portable(m, cols, r0, r1, out);
   });
 }

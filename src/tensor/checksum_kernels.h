@@ -24,6 +24,9 @@
 //    smaller than 2^24 columns; the unreachable huge case falls back to
 //    scalar). predict_col_checksum is the O(k·n) scalar reference only: the
 //    GEMM's fused eᵀC is the column prediction on every serving path.
+//  * weighted_row_sums_i8 — the weighted basis W·v captured at every weight
+//    install: per block of 32/64 columns, vpmaddubsw against the in-block
+//    ramp 1..32/64 plus the block's vpsadbw sum times its column offset.
 //
 // All pointers are to dense row-major data; `out` buffers are fully
 // overwritten. Shapes with rows == 0 or cols == 0 write zeros.
@@ -42,9 +45,11 @@ void col_sums_i32(const std::int32_t* m, std::size_t rows, std::size_t cols, std
 void row_sums_i8(const std::int8_t* m, std::size_t rows, std::size_t cols, std::int64_t* out);
 void row_sums_i32(const std::int32_t* m, std::size_t rows, std::size_t cols, std::int64_t* out);
 
-/// Weighted-basis reductions for the multi-fault ABFT solve (correction path
-/// only — cold, portable scalar bodies behind the same sharding as the exact
-/// kernels, so they stay bit-identical at every tier and thread count).
+/// Weighted-basis reductions for the multi-fault ABFT solve. The i32 forms
+/// run on the correction path only and stay portable scalar bodies behind
+/// the same sharding as the exact kernels; weighted_row_sums_i8 captures the
+/// resident W·v at every weight install (hot-swaps included), so it has the
+/// SIMD tiers too. All are bit-identical at every tier and thread count.
 ///
 /// uᵀM with u = [1,2,3,…]: out[j] = Σ_r (r+1)·m[r][j]  (length cols).
 void weighted_col_sums_i32(const std::int32_t* m, std::size_t rows, std::size_t cols,

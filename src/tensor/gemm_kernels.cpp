@@ -42,29 +42,42 @@ constexpr std::size_t kRowGrain = 8;
 
 #if REALM_X86
 
+/// Panel rows per panel (k-quads or k-pairs), panels, and bytes per row.
+struct PanelShape {
+  std::size_t groups, panels, row_bytes;
+};
+
+PanelShape panel_shape(Tier t, std::size_t k, std::size_t n) noexcept {
+  if (t == Tier::kAvx512) return {(k + 3) / 4, (n + kNr512 - 1) / kNr512, kQuadRowBytes};
+  return {(k + 1) / 2, (n + kNr256 - 1) / kNr256, kPairRowBytes};
+}
+
 std::size_t panel_bytes(Tier t, std::size_t k, std::size_t n) noexcept {
-  if (t == Tier::kAvx512) return (n + kNr512 - 1) / kNr512 * ((k + 3) / 4) * kQuadRowBytes;
-  return (n + kNr256 - 1) / kNr256 * ((k + 1) / 2) * kPairRowBytes;
+  const PanelShape s = panel_shape(t, k, n);
+  return s.panels * s.groups * s.row_bytes;
 }
 
 // ---------------------------------------------------------------------------
-// Packing (layouts in the header comment).
+// Packing (layouts in the header comment). Each pack fills panel rows
+// [g0, g1) of every panel and lays each panel's rows out contiguously, so
+// the full pack (g0 = 0, g1 = all rows) is the resident image and a partial
+// one is a slice of every panel.
 // ---------------------------------------------------------------------------
 
 /// AVX2 layout: int16 k-pairs, panel[p][kp][2j+t] = b(2kp+t, 16p+j). Two
 /// full rows sign-extend and interleave 16 columns with SSE2 unpacks; edges
 /// take the scalar path.
-void pack_b_pairs(const std::int8_t* b, std::size_t k, std::size_t n, std::int8_t* out) {
-  const std::size_t kpairs = (k + 1) / 2;
+void pack_b_pairs(const std::int8_t* b, std::size_t k, std::size_t n, std::size_t g0,
+                  std::size_t g1, std::int8_t* out) {
   const std::size_t panels = (n + kNr256 - 1) / kNr256;
   const __m128i zero = _mm_setzero_si128();
   for (std::size_t p = 0; p < panels; ++p) {
     const std::size_t j0 = p * kNr256;
     const std::size_t jw = std::min(kNr256, n - j0);
-    for (std::size_t kp = 0; kp < kpairs; ++kp) {
+    for (std::size_t kp = g0; kp < g1; ++kp) {
       const std::int8_t* r0 = b + 2 * kp * n + j0;
       const bool has_r1 = 2 * kp + 1 < k;
-      std::int8_t* dst = out + (p * kpairs + kp) * kPairRowBytes;
+      std::int8_t* dst = out + (p * (g1 - g0) + kp - g0) * kPairRowBytes;
       if (has_r1 && jw == kNr256) {
         const __m128i x0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(r0));
         const __m128i x1 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(r0 + n));
@@ -92,17 +105,17 @@ void pack_b_pairs(const std::int8_t* b, std::size_t k, std::size_t n, std::int8_
 /// AVX-512 layout: biased int8 quads, panel[p][q][4j+t] = b(4q+t, 32p+j) ^ 0x80.
 /// Four full rows interleave 16 columns at a time with two unpack levels
 /// (byte pairs, then pair quads); edges take the scalar path.
-void pack_b_quads(const std::int8_t* b, std::size_t k, std::size_t n, std::int8_t* out) {
-  const std::size_t kq = (k + 3) / 4;
+void pack_b_quads(const std::int8_t* b, std::size_t k, std::size_t n, std::size_t g0,
+                  std::size_t g1, std::int8_t* out) {
   const std::size_t panels = (n + kNr512 - 1) / kNr512;
   const __m128i bias = _mm_set1_epi8(static_cast<char>(0x80));
-  for (std::size_t q = 0; q < kq; ++q) {
+  for (std::size_t q = g0; q < g1; ++q) {
     const std::int8_t* rows = b + 4 * q * n;
     const bool full_k = 4 * q + 4 <= k;
     for (std::size_t p = 0; p < panels; ++p) {
       const std::size_t j0 = p * kNr512;
       const std::size_t jw = std::min(kNr512, n - j0);
-      std::int8_t* dst = out + (p * kq + q) * kQuadRowBytes;
+      std::int8_t* dst = out + (p * (g1 - g0) + q - g0) * kQuadRowBytes;
       if (full_k && jw == kNr512) {
         for (std::size_t h = 0; h < kNr512; h += 16) {
           const auto ld = [&](std::size_t t) {
@@ -132,12 +145,17 @@ void pack_b_quads(const std::int8_t* b, std::size_t k, std::size_t n, std::int8_
   }
 }
 
-void pack_panels(Tier t, const std::int8_t* b, std::size_t k, std::size_t n, std::int8_t* out) {
+void pack_panels(Tier t, const std::int8_t* b, std::size_t k, std::size_t n, std::size_t g0,
+                 std::size_t g1, std::int8_t* out) {
   if (t == Tier::kAvx512) {
-    pack_b_quads(b, k, n, out);
+    pack_b_quads(b, k, n, g0, g1, out);
   } else {
-    pack_b_pairs(b, k, n, out);
+    pack_b_pairs(b, k, n, g0, g1, out);
   }
+}
+
+void pack_panels(Tier t, const std::int8_t* b, std::size_t k, std::size_t n, std::int8_t* out) {
+  pack_panels(t, b, k, n, 0, panel_shape(t, k, n).groups, out);
 }
 
 /// Sign-extend rows [i0, i1) of A to int16, zero-padding odd k to kpad.
@@ -617,6 +635,34 @@ PackedB pack_b(const std::int8_t* b, std::size_t k, std::size_t n) {
   (void)b;
 #endif
   return p;
+}
+
+bool panels_match(const std::int8_t* b, std::size_t k, std::size_t n, const PackedB& pb) {
+  const Tier t = active_tier();
+  if (!pb.valid_for(t, k, n)) return false;
+#if REALM_X86
+  // Repack a slice of every panel at a time into a buffer that stays in L2,
+  // and compare each panel's slice with the resident bytes.
+  constexpr std::size_t kSliceBytes = std::size_t{64} << 10;
+  const PanelShape s = panel_shape(t, k, n);
+  const std::size_t rows = std::clamp<std::size_t>(kSliceBytes / (s.panels * s.row_bytes), 1,
+                                                   s.groups);
+  PanelBytes fresh(s.panels * rows * s.row_bytes);
+  const std::int8_t* resident = pb.raw_panels().data();
+  for (std::size_t g0 = 0; g0 < s.groups; g0 += rows) {
+    const std::size_t g1 = std::min(s.groups, g0 + rows);
+    const std::size_t len = (g1 - g0) * s.row_bytes;
+    pack_panels(t, b, k, n, g0, g1, fresh.data());
+    for (std::size_t p = 0; p < s.panels; ++p) {
+      const std::int8_t* want = resident + (p * s.groups + g0) * s.row_bytes;
+      if (std::memcmp(fresh.data() + p * len, want, len) != 0) return false;
+    }
+  }
+  return true;
+#else
+  (void)b;
+  return false;  // portable panels are empty, so valid_for already failed
+#endif
 }
 
 void gemm_i8_prepacked(const std::int8_t* a, const std::int8_t* b, const PackedB& pb,

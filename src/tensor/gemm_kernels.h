@@ -162,6 +162,13 @@ class PackedB {
 /// Pack b[k x n] (row-major) for the active tier.
 [[nodiscard]] PackedB pack_b(const std::int8_t* b, std::size_t k, std::size_t n);
 
+/// True when `pb` holds exactly pack_b(b, k, n)'s bytes for the active tier:
+/// the repack-compare weight scrub, done a slice of every panel at a time so
+/// it needs no second full-size image. False whenever `pb` is not valid for
+/// the active tier and this shape (on the portable tier, always).
+[[nodiscard]] bool panels_match(const std::int8_t* b, std::size_t k, std::size_t n,
+                                const PackedB& pb);
+
 /// gemm_i8 that reuses pre-packed panels when `pb` matches the active tier
 /// and shape; otherwise identical to gemm_i8(a, b, c, ...). Bit-exact with
 /// the non-prepacked path in every case.

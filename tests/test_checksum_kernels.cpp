@@ -85,6 +85,16 @@ std::vector<std::int64_t> ref_weighted_col_sums(const Mat<T>& m) {
   return out;
 }
 
+std::vector<std::int64_t> ref_weighted_row_sums(const MatI8& m) {
+  std::vector<std::int64_t> out(m.rows(), 0);
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    for (std::size_t j = 0; j < m.cols(); ++j) {
+      out[r] += static_cast<std::int64_t>(j + 1) * static_cast<std::int64_t>(m(r, j));
+    }
+  }
+  return out;
+}
+
 std::vector<std::int64_t> ref_predict_col(const std::vector<std::int64_t>& ea, const MatI8& b) {
   std::vector<std::int64_t> out(b.cols(), 0);
   for (std::size_t kk = 0; kk < b.rows(); ++kk) {
@@ -150,6 +160,36 @@ REALM_TEST(i16_block_boundary_and_k_bound_extremes) {
     REALM_CHECK(col_sums(alt) == ref_col_sums(alt));
     REALM_CHECK(row_sums(alt) == ref_row_sums(alt));
     for (const auto v : row_sums(lo)) REALM_CHECK_EQ(v, std::int64_t{-384});
+  }
+}
+
+REALM_TEST(weighted_row_sums_match_reference_across_tiers) {
+  // The SIMD kernels split each row into 32/64-column blocks (ramp term plus
+  // offset × block sum) and flush int32 lanes every 2^18 columns: shapes
+  // straddle both block widths, the scalar tail, and one flush boundary with
+  // constant extremes whose sums have a closed form.
+  realm::util::Rng rng(205);
+  TierGuard guard;
+  const std::size_t shapes[][2] = {{1, 1},   {3, 31},  {2, 32},  {5, 33},  {4, 63},
+                                   {33, 64}, {7, 65},  {9, 129}, {40, 256}, {3, 1000}};
+  const std::size_t flush_cols = (std::size_t{1} << 18) + 70;
+  const auto ramp_sum = [&](std::int64_t v) {
+    const auto c = static_cast<std::int64_t>(flush_cols);
+    return v * c * (c + 1) / 2;
+  };
+  const MatI8 lo(2, flush_cols, std::int8_t{-128});
+  const MatI8 hi(2, flush_cols, std::int8_t{127});
+  MatI8 alt(2, flush_cols);
+  for (std::size_t j = 0; j < flush_cols; ++j) alt(0, j) = alt(1, j) = (j % 2) ? 127 : -128;
+  for (const Tier t : supported_tiers()) {
+    kernels::set_active_tier(t);
+    for (const auto& s : shapes) {
+      const MatI8 m8 = random_i8_full_range(s[0], s[1], rng);
+      REALM_CHECK(weighted_row_sums(m8) == ref_weighted_row_sums(m8));
+    }
+    for (const auto v : weighted_row_sums(lo)) REALM_CHECK_EQ(v, ramp_sum(-128));
+    for (const auto v : weighted_row_sums(hi)) REALM_CHECK_EQ(v, ramp_sum(127));
+    REALM_CHECK(weighted_row_sums(alt) == ref_weighted_row_sums(alt));
   }
 }
 

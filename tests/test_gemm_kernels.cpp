@@ -198,6 +198,40 @@ REALM_TEST(prepacked_weights_match_fresh_pack_and_survive_tier_switch) {
   }
 }
 
+REALM_TEST(panels_match_catches_every_byte_in_every_slice) {
+  // The weight scrub repacks a slice of every panel at a time: shapes cover
+  // one slice, many slices, a last slice shorter than the rest, and k/n
+  // edges. Any single flipped byte of the resident image must fail it.
+  realm::util::Rng rng(107);
+  TierGuard guard;
+  const std::size_t shapes[][2] = {{7, 5}, {70, 37}, {4096, 256}, {1027, 33}, {2050, 4100}};
+  for (const Tier t : supported_tiers()) {
+    kernels::set_active_tier(t);
+    for (const auto& s : shapes) {
+      const MatI8 b = random_i8_full_range(s[0], s[1], rng);
+      kernels::PackedB pb = kernels::pack_b(b.data(), b.rows(), b.cols());
+      if (t == Tier::kPortable) {
+        REALM_CHECK(!kernels::panels_match(b.data(), b.rows(), b.cols(), pb));
+        continue;
+      }
+      REALM_CHECK(kernels::panels_match(b.data(), b.rows(), b.cols(), pb));
+      const std::size_t bytes = pb.raw_panels().size();
+      for (const std::size_t at : {std::size_t{0}, bytes / 3, bytes / 2 + 1, bytes - 1,
+                                   static_cast<std::size_t>(rng.uniform_u64(bytes))}) {
+        pb.mutable_panels()[at] ^= 0x10;
+        REALM_CHECK(!kernels::panels_match(b.data(), b.rows(), b.cols(), pb));
+        pb.mutable_panels()[at] ^= 0x10;
+      }
+      REALM_CHECK(kernels::panels_match(b.data(), b.rows(), b.cols(), pb));
+      // Panels packed for another tier or shape never match.
+      REALM_CHECK(!kernels::panels_match(b.data(), b.rows(), b.cols() - 1, pb));
+      kernels::set_active_tier(Tier::kPortable);
+      REALM_CHECK(!kernels::panels_match(b.data(), b.rows(), b.cols(), pb));
+      kernels::set_active_tier(t);
+    }
+  }
+}
+
 REALM_TEST(tier_dispatch_and_override) {
   TierGuard guard;
   const Tier best = kernels::best_supported_tier();

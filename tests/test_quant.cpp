@@ -1,9 +1,12 @@
 #include "tensor/quant.h"
 
 #include <cmath>
+#include <iterator>
+#include <vector>
 
 #include "realm_test.h"
 #include "tensor/gemm.h"
+#include "tensor/gemm_kernels.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
 
@@ -36,6 +39,35 @@ REALM_TEST(calibrate_floor_and_clamp) {
   // Out-of-range values clamp to +/-127 instead of wrapping.
   REALM_CHECK_EQ(QuantParams{0.01f}.quantize(100.0f), 127);
   REALM_CHECK_EQ(QuantParams{0.01f}.quantize(-100.0f), -127);
+}
+
+REALM_TEST(quantize_matches_scalar_codes_on_every_tier) {
+  // The SIMD quantize must reproduce QuantParams::quantize code for code:
+  // round-half-even ties, the ±127 clamp, infinities and tiny values.
+  namespace kernels = realm::tensor::kernels;
+  struct TierGuard {
+    kernels::Tier saved = kernels::active_tier();
+    ~TierGuard() { kernels::set_active_tier(saved); }
+  } guard;
+  realm::util::Rng rng(23);
+  const QuantParams qp{0.25f};  // a power of two: the half-step specials are exact ties
+  MatF x(7, 37);                // 259 elements: a vector tail on every width
+  for (auto& v : x.flat()) v = static_cast<float>(rng.uniform(-40.0, 40.0));
+  const float specials[] = {0.5f * qp.scale,   1.5f * qp.scale,  2.5f * qp.scale,
+                            -0.5f * qp.scale,  -2.5f * qp.scale, 126.5f * qp.scale,
+                            127.5f * qp.scale, -127.5f * qp.scale, 1e30f,
+                            -1e30f,            INFINITY,         -INFINITY,
+                            1e-40f,            -0.0f};
+  for (std::size_t i = 0; i < std::size(specials); ++i) x.flat()[i * 17] = specials[i];
+  std::vector<kernels::Tier> tiers{kernels::Tier::kPortable};
+  if (kernels::best_supported_tier() >= kernels::Tier::kAvx2) tiers.push_back(kernels::Tier::kAvx2);
+  for (const auto t : tiers) {
+    kernels::set_active_tier(t);
+    const MatI8 q8 = quantize(x, qp);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      REALM_CHECK_EQ(q8.flat()[i], qp.quantize(x.flat()[i]));
+    }
+  }
 }
 
 REALM_TEST(dequantized_gemm_tracks_float_reference) {
